@@ -23,8 +23,9 @@ import sys
 from typing import Sequence
 
 from . import commuting, configs, fixtures, matrixalg
-from .engine import build_branching, render_dot
+from .engine import build_branching, gf_total, render_dot
 from .errors import ResourceLimitError
+from .orbits import DEFAULT_WORK_BUDGET
 from .perms import (
     PermGroup,
     cyclic_group,
@@ -56,7 +57,7 @@ def _budget(cli_value: int | None) -> int:
             return int(env)
         except ValueError as exc:
             raise UsageError(f"{BUDGET_ENV} must be an integer, got {env!r}") from exc
-    return commuting.DEFAULT_WORK_BUDGET
+    return DEFAULT_WORK_BUDGET
 
 
 def parse_group_name(name: str) -> PermGroup:
@@ -99,18 +100,20 @@ def _coeff_list(text: str) -> Poly:
         raise UsageError(f"bad coefficient list {text!r}") from exc
 
 
+def _emit_record(out, record: str, **fields) -> None:
+    """One line-delimited JSON record; the "record" field names its kind."""
+    print(json.dumps({"record": record, **fields}), file=out)
+
+
+def _strings(values) -> list[str]:
+    return [str(c) for c in values]
+
+
 def emit_ratfun(name: str, fn: RatFun, terms: int | None, fmt: str, out) -> None:
     if fmt == "records":
-        record = {
-            "record": "ratfun",
-            "name": name,
-            "num": [str(c) for c in fn.num.coeffs],
-            "den": [str(c) for c in fn.den.coeffs],
-            "display": str(fn),
-        }
-        if terms is not None:
-            record["series"] = [str(c) for c in fn.series(terms)]
-        print(json.dumps(record), file=out)
+        series = {} if terms is None else {"series": _strings(fn.series(terms))}
+        _emit_record(out, "ratfun", name=name, num=_strings(fn.num.coeffs),
+                     den=_strings(fn.den.coeffs), display=str(fn), **series)
     else:
         print(f"{name} = {fn}", file=out)
         if terms is not None:
@@ -131,33 +134,20 @@ def parse_ratfun_record(line: str) -> RatFun:
 
 def cmd_group(args, out) -> int:
     group = parse_group_name(args.name)
-    if args.kind == "commuting":
-        fn = commuting.commuting_gf(group)
-        name = f"h[{args.name}]"
-    else:
-        fn = commuting.burnside_gf(group)
-        name = f"f[{args.name}]"
-    emit_ratfun(name, fn, args.terms, args.format, out)
-    if args.show_matrix and args.kind == "commuting":
-        bm = build_branching(commuting.commuting_process(group))
+    if args.kind == "burnside":
+        emit_ratfun(f"f[{args.name}]", commuting.burnside_gf(group), args.terms, args.format, out)
+        return EXIT_OK
+    bm = build_branching(commuting.commuting_process(group))
+    emit_ratfun(f"h[{args.name}]", gf_total(bm), args.terms, args.format, out)
+    if args.show_matrix:
         if args.format == "records":
-            print(
-                json.dumps(
-                    {
-                        "record": "branching-matrix",
-                        "name": args.name,
-                        "labels": list(bm.labels),
-                        "matrix": [[str(x) for x in row] for row in bm.matrix],
-                    }
-                ),
-                file=out,
-            )
+            _emit_record(out, "branching-matrix", name=args.name, labels=list(bm.labels),
+                         matrix=[_strings(row) for row in bm.matrix])
         else:
             print(f"branching matrix ({bm.size} classes):", file=out)
             for row in bm.matrix:
                 print(f"  {list(row)}", file=out)
-    if args.dot and args.kind == "commuting":
-        bm = build_branching(commuting.commuting_process(group))
+    if args.dot:
         print(render_dot(bm), file=out)
     return EXIT_OK
 
@@ -191,16 +181,7 @@ def cmd_configs(args, out) -> int:
         ]
         label = "subspace counts S_q(n,i)"
     if args.format == "records":
-        print(
-            json.dumps(
-                {
-                    "record": "type-triangle",
-                    "kind": args.kind,
-                    "rows": [[str(x) for x in row] for row in rows],
-                }
-            ),
-            file=out,
-        )
+        _emit_record(out, "type-triangle", kind=args.kind, rows=[_strings(row) for row in rows])
     else:
         print(f"  {label}, rows n = 0..{terms}, columns i = 0..{args.m}:", file=out)
         for n, row in enumerate(rows):
@@ -212,17 +193,8 @@ def cmd_expand(args, out) -> int:
     fn = RatFun(_coeff_list(args.num), _coeff_list(args.den))
     coeffs = fn.series(args.terms)
     if args.format == "records":
-        print(
-            json.dumps(
-                {
-                    "record": "series",
-                    "num": [str(c) for c in fn.num.coeffs],
-                    "den": [str(c) for c in fn.den.coeffs],
-                    "series": [str(c) for c in coeffs],
-                }
-            ),
-            file=out,
-        )
+        _emit_record(out, "series", num=_strings(fn.num.coeffs), den=_strings(fn.den.coeffs),
+                     series=_strings(coeffs))
     else:
         print(f"({fn}) = {coeffs} + O(t^{args.terms + 1})", file=out)
     return EXIT_OK
@@ -270,15 +242,17 @@ def _verify_oracles(budget: int, stretch: bool, out) -> list[str]:
     module_cases = [(2, 2, 2), (3, 2, 1)]
     if stretch:
         module_cases.append((2, 3, 2))
+    module_gfs = {}
     for q, m, depth in module_cases:
-        series = matrixalg.module_gf(q, m, stretch=stretch).series(depth)
+        module_gfs[q, m] = matrixalg.module_gf(q, m, stretch=stretch)
+        series = module_gfs[q, m].series(depth)
         counts = matrixalg.module_orbit_counts(q, m, depth, budget, stretch=stretch)
         ok = series == counts
         print(f"module oracle q={q} m={m} n<={depth}: {'ok' if ok else 'MISMATCH'}", file=out)
         if not ok:
             failures.append(f"module q={q},m={m}: series {series} vs oracle {counts}")
     if stretch:
-        failures.extend(_report_dim3_reading(out))
+        failures.extend(_report_dim3_reading(module_gfs[2, 3], out))
     point_total, point_split = configs.config_orbit_oracle("point", 3, 3, budget=budget)
     ok = point_total == 5 and point_split == [0, 1, 3, 1]
     print(f"point oracle m=3 n=3: {'ok' if ok else 'MISMATCH'}", file=out)
@@ -298,9 +272,9 @@ def _verify_oracles(budget: int, stretch: bool, out) -> list[str]:
     return failures
 
 
-def _report_dim3_reading(out) -> list[str]:
+def _report_dim3_reading(computed: RatFun, out) -> list[str]:
+    """Which recorded closed-form candidate the M_3(F_2) series supports."""
     failures = []
-    computed = matrixalg.module_gf(2, 3, stretch=True)
     matches = [
         name
         for name, fixture in fixtures.module_gf_dim3_candidates(2).items()
@@ -384,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run golden-table / oracle comparisons")
     p_ver.add_argument("--suite", choices=("paper-tables", "oracles"), required=True)
     p_ver.add_argument("--budget", type=int, default=None,
-                       help=f"enumeration work budget (default {commuting.DEFAULT_WORK_BUDGET}; "
+                       help=f"enumeration work budget (default {DEFAULT_WORK_BUDGET}; "
                             f"or set {BUDGET_ENV})")
     p_ver.add_argument("--stretch", action="store_true",
                        help="include the M_3(F_2) stretch configuration")

@@ -8,17 +8,18 @@ Orbit counts of all (not necessarily commuting) tuples have a classical
 closed form as a centralizer-size partial-fraction sum, implemented here
 both over the group elements and, for symmetric groups, over partitions.
 
-A brute-force oracle counts orbits directly by extending lexicographically
-minimal orbit representatives one coordinate at a time.
+The brute-force oracle counts the same orbits by canonical-representative
+enumeration (branchgf.orbits).
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Iterator
 
 from .engine import BranchingProcess, build_branching, gf_total
-from .errors import WorkBudgetError
+from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, least_image
 from .perms import GroupKey, KeyRegistry, PermGroup
 from .polyring import Poly, RatFun, ratfun_sum
 
@@ -34,8 +35,6 @@ __all__ = [
     "commuting_orbit_oracle",
     "DEFAULT_WORK_BUDGET",
 ]
-
-DEFAULT_WORK_BUDGET = 10_000_000
 
 
 def commuting_process(
@@ -156,44 +155,18 @@ def commuting_orbit_counts(
 ) -> list[int]:
     """Exact orbit counts of commuting n-tuples for n = 0..n_max.
 
-    Works level by level on canonical (lexicographically least under
-    simultaneous conjugation) representatives: every orbit at level n+1
-    contains an extension of the canonical representative of its length-n
-    prefix orbit, and the appended element must centralize the prefix.
+    Representatives are lexicographically least under simultaneous
+    conjugation, and a prefix is extended only by elements centralizing it.
     The budget caps the number of candidate tuples examined.
     """
     tables = group.conjugation_tables
-    order = group.order
-    all_indices = range(order)
-    counts = [1]
-    reps: list[tuple[int, ...]] = [()]
-    centralizers: dict[tuple[int, ...], list[int]] = {(): list(all_indices)}
-    work = 0
-    for _ in range(n_max):
-        new_reps: set[tuple[int, ...]] = set()
-        for rep in reps:
-            for b in centralizers[rep]:
-                work += 1
-                if work > budget:
-                    raise WorkBudgetError(
-                        f"orbit enumeration exceeded the work budget {budget}"
-                    )
-                candidate = rep + (b,)
-                best = candidate
-                for table in tables:
-                    image = tuple(table[i] for i in candidate)
-                    if image < best:
-                        best = image
-                new_reps.add(best)
-        reps = sorted(new_reps)
-        counts.append(len(reps))
-        if len(counts) <= n_max:
-            # Element c centralizes a iff conjugation by c fixes a.
-            centralizers = {
-                rep: [c for c in all_indices if all(tables[c][a] == a for a in rep)]
-                for rep in reps
-            }
-    return counts
+
+    def centralizing(rep: tuple[int, ...]) -> list[int]:
+        # Element c centralizes a iff conjugation by c fixes a.
+        return [c for c in range(group.order) if all(tables[c][a] == a for a in rep)]
+
+    levels = canonical_levels(n_max, centralizing, partial(least_image, tables), budget)
+    return [len(reps) for reps in levels]
 
 
 def commuting_orbit_oracle(

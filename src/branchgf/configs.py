@@ -9,19 +9,21 @@ functions are telescoping products and the level counts are Stirling
 numbers of the second kind, Bell numbers, Gaussian binomial coefficients
 and their q-Bell (subspace-total) analog.
 
-Closed forms follow the convention fixed by the enumeration oracles: the
-type-i class generating function is t^i * prod_{r=1..i} 1/(1-r*t) in the
-point case and t^i * prod_{r=0..i} 1/(1-q^r*t) in the vector case.
+Closed forms follow the convention fixed by the enumeration oracles
+(built on branchgf.orbits): the type-i class generating function is
+t^i * prod_{r=1..i} 1/(1-r*t) in the point case and
+t^i * prod_{r=0..i} 1/(1-q^r*t) in the vector case.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator
 
 from .engine import BranchingProcess
-from .errors import WorkBudgetError
-from .matrixalg import Fq
+from .matrixalg import Fq, echelon_basis
+from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, least_image
 from .polyring import ONE, Poly, RatFun, ratfun_sum
 
 __all__ = [
@@ -42,8 +44,6 @@ __all__ = [
     "row_space_bijection_check",
     "all_subspaces",
 ]
-
-DEFAULT_WORK_BUDGET = 10_000_000
 
 
 # -- branching processes ---------------------------------------------------------
@@ -181,35 +181,30 @@ def _rgs_canonical(tup: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _type_splits(
+    levels: Iterable[list[tuple[int, ...]]], m: int, type_of: Callable[[tuple[int, ...]], int]
+) -> tuple[list[int], list[list[int]]]:
+    totals: list[int] = []
+    by_type: list[list[int]] = []
+    for reps in levels:
+        totals.append(len(reps))
+        split = [0] * (m + 1)
+        for rep in reps:
+            split[type_of(rep)] += 1
+        by_type.append(split)
+    return totals, by_type
+
+
 def point_orbit_counts(
     m: int, n_max: int, budget: int = DEFAULT_WORK_BUDGET
 ) -> tuple[list[int], list[list[int]]]:
     """Orbit totals and per-type splits for point tuples, by direct enumeration.
 
     Returns (totals, by_type) with by_type[n][i] the number of level-n
-    orbits of type i.  Canonical representatives are extended one
-    coordinate at a time; every orbit contains such an extension of its
-    prefix's canonical form because the action is coordinatewise.
+    orbits of type i.  Any point may extend a prefix.
     """
-    totals = [1]
-    by_type = [[1] + [0] * m]
-    reps: set[tuple[int, ...]] = {()}
-    work = 0
-    for _ in range(n_max):
-        nxt: set[tuple[int, ...]] = set()
-        for rep in reps:
-            for x in range(m):
-                work += 1
-                if work > budget:
-                    raise WorkBudgetError(f"exceeded work budget {budget}")
-                nxt.add(_rgs_canonical(rep + (x,)))
-        reps = nxt
-        totals.append(len(reps))
-        split = [0] * (m + 1)
-        for rep in reps:
-            split[len(set(rep))] += 1
-        by_type.append(split)
-    return totals, by_type
+    levels = canonical_levels(n_max, lambda rep: range(m), _rgs_canonical, budget)
+    return _type_splits(levels, m, lambda rep: len(set(rep)))
 
 
 def brute_point_orbit_count(m: int, n: int) -> int:
@@ -260,46 +255,12 @@ def _gl_action_tables(q: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-def _span_dimension(field: Fq, vectors, width: int) -> int:
-    echelon: list[list[int]] = []
-    pivots: list[int] = []
-    for v in vectors:
-        vec = list(v)
-        for row, piv in zip(echelon, pivots):
-            if vec[piv]:
-                factor = field.neg[field.mul[vec[piv]][field.inv[row[piv]]]]
-                vec = [field.add[x][field.mul[factor][y]] for x, y in zip(vec, row)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is not None:
-            echelon.append(vec)
-            pivots.append(piv)
-    return len(echelon)
-
-
 def _vector_rep_levels(
     q: int, m: int, n_max: int, budget: int
-) -> list[list[tuple[int, ...]]]:
+) -> Iterator[list[tuple[int, ...]]]:
     """Canonical orbit representatives (as vector-index tuples) per level."""
     tables = _gl_action_tables(q, m)
-    count = q**m
-    levels: list[list[tuple[int, ...]]] = [[()]]
-    work = 0
-    for _ in range(n_max):
-        nxt: set[tuple[int, ...]] = set()
-        for rep in levels[-1]:
-            for x in range(count):
-                work += 1
-                if work > budget:
-                    raise WorkBudgetError(f"exceeded work budget {budget}")
-                candidate = rep + (x,)
-                best = candidate
-                for table in tables:
-                    image = tuple(table[i] for i in candidate)
-                    if image < best:
-                        best = image
-                nxt.add(best)
-        levels.append(sorted(nxt))
-    return levels
+    return canonical_levels(n_max, lambda rep: range(q**m), partial(least_image, tables), budget)
 
 
 def vector_orbit_counts(
@@ -312,16 +273,11 @@ def vector_orbit_counts(
     """
     field = _field(q)
     vectors = _vector_list(q, m)
-    levels = _vector_rep_levels(q, m, n_max, budget)
-    totals = []
-    by_type = []
-    for reps in levels:
-        totals.append(len(reps))
-        split = [0] * (m + 1)
-        for rep in reps:
-            split[_span_dimension(field, [vectors[i] for i in rep], m)] += 1
-        by_type.append(split)
-    return totals, by_type
+    return _type_splits(
+        _vector_rep_levels(q, m, n_max, budget),
+        m,
+        lambda rep: len(echelon_basis(field, [vectors[i] for i in rep])),
+    )
 
 
 def config_orbit_oracle(
@@ -384,13 +340,13 @@ def row_space_bijection_check(
     """
     field = _field(q)
     vectors = _vector_list(q, m)
-    reps = _vector_rep_levels(q, m, n, budget)[n]
+    *_, reps = _vector_rep_levels(q, m, n, budget)
     seen_spaces: set[frozenset] = set()
     for rep in reps:
         cols = [vectors[i] for i in rep]  # column j holds vector j of the tuple
         rows = [tuple(cols[j][i] for j in range(n)) for i in range(m)]
         space = _span_set(field, rows, n, q)
-        if _subspace_dim(space, q) != _span_dimension(field, cols, m):
+        if _subspace_dim(space, q) != len(echelon_basis(field, cols)):
             return False  # row rank must equal column rank
         if space in seen_spaces:
             return False  # not injective

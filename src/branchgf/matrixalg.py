@@ -10,17 +10,20 @@ States are keyed by unital-ring isomorphism classes.
 Matrices are flat tuples of field elements (ints < q); fields carry
 precomputed arithmetic tables.  Desk scale is m <= 3 and q in {2, 3}; the
 512-element ring M_3(F_2) is a stretch configuration gated behind a flag.
+The brute-force oracle module_orbit_counts enumerates the same classes
+with branchgf.orbits.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple, Sequence
 
 from .engine import BranchingProcess, build_branching, gf_total
-from .errors import ElementNotInAlgebraError, SizeLimitError, WorkBudgetError
+from .errors import ElementNotInAlgebraError, SizeLimitError
+from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, closure, least_image
 from .polyring import RatFun
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
 
 RING_SIZE_LIMIT = 512
 PLAIN_SIZE_LIMIT = 81  # larger ambient rings require stretch=True
-DEFAULT_WORK_BUDGET = 10_000_000
 
 Mat = tuple[int, ...]  # row-major flat m*m tuple of field elements
 
@@ -261,6 +263,27 @@ def mat_inv(field: Fq, a: Mat, m: int) -> Mat | None:
     return tuple(aug[i][m + j] for i in range(m) for j in range(m))
 
 
+def echelon_basis(field: Fq, vectors: Iterable[Sequence[int]]) -> list:
+    """The vectors outside the span of those before them, by Gaussian elimination.
+
+    They form a basis of the span of all the vectors.
+    """
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    basis = []
+    echelon: list[tuple[list[int], int]] = []
+    for v in vectors:
+        vec = list(v)
+        for row, piv in echelon:
+            if vec[piv]:
+                factor = neg[mul[vec[piv]][inv[row[piv]]]]
+                vec = [add[x][mul[factor][y]] for x, y in zip(vec, row)]
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is not None:
+            basis.append(v)
+            echelon.append((vec, piv))
+    return basis
+
+
 class MatRing:
     """The full matrix ring M_m(F_q) with indexed element enumeration."""
 
@@ -336,27 +359,16 @@ class Subalgebra:
 
     @cached_property
     def basis(self) -> tuple[Mat, ...]:
-        """F_q-basis extracted by greedy Gaussian elimination over the entries."""
-        field, m = self.ring.field, self.ring.m
-        basis: list[Mat] = []
-        echelon: list[list[int]] = []
-        pivots: list[int] = []
-        for a in self.sorted_elements:
-            vec = list(a)
-            for row, piv in zip(echelon, pivots):
-                if vec[piv]:
-                    factor = field.neg[field.mul[vec[piv]][field.inv[row[piv]]]]
-                    vec = [field.add[x][field.mul[factor][y]] for x, y in zip(vec, row)]
-            piv = next((i for i, x in enumerate(vec) if x), None)
-            if piv is not None:
-                basis.append(a)
-                echelon.append(vec)
-                pivots.append(piv)
-                if field.q ** len(basis) == self.size:
-                    break
-        if field.q ** len(basis) != self.size:
+        """F_q-basis of the element set, which must be closed under addition.
+
+        The basis spans every element, so q**len(basis) == size holds
+        exactly when the set is the whole span.
+        """
+        q = self.ring.field.q
+        basis = tuple(echelon_basis(self.ring.field, self.sorted_elements))
+        if q ** len(basis) != self.size:
             raise ValueError("element set is not closed under addition")
-        return tuple(basis)
+        return basis
 
     @cached_property
     def units(self) -> tuple[Mat, ...]:
@@ -410,61 +422,31 @@ def _unit_group_generators(z: Subalgebra) -> tuple[Mat, ...]:
     units = z.units
     if len(units) == 1:
         return ()
-
-    def mult_order(u: Mat) -> int:
-        n, x = 1, u
-        while x != ring.identity:
-            x = ring.mul(x, u)
-            n += 1
-        return n
-
-    gens = [max(units, key=lambda u: (mult_order(u), tuple(-c for c in u)))]
-    closure = _unit_closure(ring, gens)
-    while len(closure) < len(units):
+    gens = [max(units, key=lambda u: (_mult_order(ring, u), tuple(-c for c in u)))]
+    generated = closure(ring.identity, gens, ring.mul)
+    while len(generated) < len(units):
         for u in units:
-            if u not in closure:
+            if u not in generated:
                 gens.append(u)
-                closure = _unit_closure(ring, gens)
+                generated = closure(ring.identity, gens, ring.mul)
                 break
     return tuple(gens)
-
-
-def _unit_closure(ring: MatRing, gens: Sequence[Mat]) -> set[Mat]:
-    seen = {ring.identity}
-    frontier = [ring.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = ring.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
     """Orbits of the unit group acting on z by conjugation: (least rep, size)."""
     ring = z.ring
-    gens = _unit_group_generators(z)
-    gen_invs = [ring.inv(g) for g in gens]
+    gens = [(g, ring.inv(g)) for g in _unit_group_generators(z)]
+
+    def conjugate(x: Mat, gen: tuple[Mat, Mat]) -> Mat:
+        return ring.mul(ring.mul(gen[0], x), gen[1])
+
     remaining = set(z.elements)
     classes = []
     for a in z.sorted_elements:
         if a not in remaining:
             continue
-        orbit = {a}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, ginv in zip(gens, gen_invs):
-                    y = ring.mul(ring.mul(g, x), ginv)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        orbit = closure(a, gens, conjugate)
         remaining -= orbit
         classes.append((min(orbit), len(orbit)))
     return classes
@@ -734,9 +716,8 @@ def module_orbit_counts(
 ) -> list[int]:
     """Brute-force counts of simultaneous-similarity classes of commuting tuples.
 
-    Canonical representatives are lexicographic minima over the full unit
-    group; each level extends the previous level's representatives by
-    elements of their running centralizer ring.
+    Representatives are lexicographic minima over the full unit group, and
+    a prefix is extended only by elements commuting with all its entries.
     """
     field = Fq(q)
     size = q ** (m * m)
@@ -745,40 +726,19 @@ def module_orbit_counts(
             f"M_{m}(F_{q}) has {size} elements; pass stretch=True above {PLAIN_SIZE_LIMIT}"
         )
     ring = MatRing(field, m)
-    tables = ring.unit_conjugation_tables
     elements = ring.elements
-    counts = [1]
-    reps: list[tuple[int, ...]] = [()]
-    cents: dict[tuple[int, ...], list[int]] = {(): list(range(len(elements)))}
-    work = 0
-    for level in range(n_max):
-        new_reps: set[tuple[int, ...]] = set()
-        for rep in reps:
-            for b in cents[rep]:
-                work += 1
-                if work > budget:
-                    raise WorkBudgetError(
-                        f"orbit enumeration exceeded the work budget {budget}"
-                    )
-                candidate = rep + (b,)
-                best = candidate
-                for table in tables:
-                    image = tuple(table[i] for i in candidate)
-                    if image < best:
-                        best = image
-                new_reps.add(best)
-        reps = sorted(new_reps)
-        counts.append(len(reps))
-        if level + 1 < n_max:
-            cents = {}
-            for rep in reps:
-                mats = [elements[i] for i in rep]
-                cents[rep] = [
-                    i
-                    for i, c in enumerate(elements)
-                    if all(ring.mul(c, a) == ring.mul(a, c) for a in mats)
-                ]
-    return counts
+
+    def commuting(rep: tuple[int, ...]) -> list[int]:
+        mats = [elements[i] for i in rep]
+        return [
+            i
+            for i, c in enumerate(elements)
+            if all(ring.mul(c, a) == ring.mul(a, c) for a in mats)
+        ]
+
+    tables = ring.unit_conjugation_tables
+    levels = canonical_levels(n_max, commuting, partial(least_image, tables), budget)
+    return [len(reps) for reps in levels]
 
 
 def module_orbit_oracle(

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ElementNotInGroupError, OrderLimitError
+from .orbits import closure
 
 __all__ = [
     "Perm",
@@ -191,23 +193,8 @@ class PermGroup:
         for g in generators:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
-        identity = Perm.identity(degree)
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in generators:
-                    y = x * g
-                    if y not in seen:
-                        if len(seen) >= order_limit:
-                            raise OrderLimitError(
-                                f"group order exceeds the limit {order_limit}"
-                            )
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return cls(degree, list(seen), generators)
+        elements = closure(Perm.identity(degree), generators, operator.mul, order_limit)
+        return cls(degree, list(elements), generators)
 
     @classmethod
     def trivial(cls, degree: int = 1) -> "PermGroup":
@@ -253,12 +240,12 @@ class PermGroup:
             return ()
         best = max(self.elements, key=lambda x: (x.order(), tuple(-i for i in x.images)))
         gens = [best]
-        closure = _closure_set(self.degree, gens)
-        while len(closure) < self.order:
+        generated = closure(self.identity, gens, operator.mul)
+        while len(generated) < self.order:
             for x in self.elements:
-                if x not in closure:
+                if x not in generated:
                     gens.append(x)
-                    closure = _closure_set(self.degree, gens)
+                    generated = closure(self.identity, gens, operator.mul)
                     break
         return tuple(gens)
 
@@ -281,17 +268,7 @@ class PermGroup:
         for x in self.elements:
             if x not in remaining:
                 continue
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for g in gens:
-                        z = g.conjugate(y)
-                        if z not in orbit:
-                            orbit.add(z)
-                            nxt.append(z)
-                frontier = nxt
+            orbit = closure(x, gens, lambda y, g: g.conjugate(y))
             remaining -= orbit
             orbits.append(frozenset(orbit))
         return tuple(orbits)
@@ -321,7 +298,7 @@ class PermGroup:
             for a in self.elements
             for b in self.elements
         }
-        return len(_closure_set(self.degree, sorted(commutators)))
+        return len(closure(self.identity, sorted(commutators), operator.mul))
 
     @cached_property
     def fingerprint(self) -> tuple:
@@ -351,22 +328,6 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
-
-
-def _closure_set(degree: int, generators: Sequence[Perm]) -> set[Perm]:
-    identity = Perm.identity(degree)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in generators:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 # -- isomorphism ------------------------------------------------------------

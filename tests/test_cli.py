@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from branchgf import cli, commuting
 from branchgf.cli import (
     EXIT_LIMIT,
     EXIT_OK,
@@ -15,6 +16,7 @@ from branchgf.cli import (
 )
 from branchgf.polyring import ratfun_eq
 from branchgf.commuting import commuting_gf
+from branchgf.engine import build_branching
 from branchgf.perms import symmetric_group
 
 
@@ -46,6 +48,20 @@ def test_group_dot_output():
     status, text = run_cli(["group", "--name", "S3", "--dot"])
     assert status == EXIT_OK
     assert "digraph branching" in text
+
+
+def test_group_matrix_and_dot_build_the_branching_once(monkeypatch):
+    calls = []
+
+    def counting(process):
+        calls.append(process)
+        return build_branching(process)
+
+    for module in (cli, commuting):
+        monkeypatch.setattr(module, "build_branching", counting)
+    status, _ = run_cli(["group", "--name", "S4", "--show-matrix", "--dot"])
+    assert status == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_configs_point_m0():

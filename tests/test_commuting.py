@@ -153,7 +153,7 @@ def test_oracle_matches_series_small_groups():
 
 
 def test_oracle_budget():
-    with pytest.raises(WorkBudgetError):
+    with pytest.raises(WorkBudgetError, match="level 1 of 3"):
         commuting_orbit_counts(symmetric_group(4), 3, budget=10)
 
 

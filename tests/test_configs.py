@@ -281,9 +281,9 @@ def test_vector_oracle_type_split_is_q_stirling():
 
 
 def test_oracle_budget():
-    with pytest.raises(WorkBudgetError):
+    with pytest.raises(WorkBudgetError, match="level 1 of 6"):
         point_orbit_counts(5, 6, budget=3)
-    with pytest.raises(WorkBudgetError):
+    with pytest.raises(WorkBudgetError, match="level 1 of 3"):
         vector_orbit_counts(2, 2, 3, budget=3)
 
 

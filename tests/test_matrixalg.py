@@ -93,6 +93,10 @@ def test_subalgebra_size_must_be_a_field_power():
     broken = Subalgebra(ring, [(0, 0, 0, 0), (1, 0, 0, 1), (1, 0, 0, 0)])
     with pytest.raises(ValueError):
         broken.basis
+    # Size 4 is a field power, but (0,0,0,1) + (0,0,1,0) is missing.
+    not_closed = Subalgebra(ring, [(0, 0, 0, 0), (1, 0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 0)])
+    with pytest.raises(ValueError):
+        not_closed.basis
 
 
 def test_unit_classes_of_full_m1():
@@ -204,7 +208,7 @@ def test_module_oracle_matches_series():
 
 
 def test_module_oracle_budget():
-    with pytest.raises(WorkBudgetError):
+    with pytest.raises(WorkBudgetError, match="level 1 of 2"):
         module_orbit_counts(2, 2, 2, budget=5)
 
 
