@@ -24,7 +24,12 @@ from typing import Sequence
 
 from . import commuting, configs, fixtures, matrixalg
 from .engine import build_branching, gf_total, render_dot
-from .errors import ResourceLimitError
+from .errors import (
+    NonIntegerCoefficientError,
+    NonUnitConstantTermError,
+    ResourceLimitError,
+    ZeroDenominatorError,
+)
 from .orbits import DEFAULT_WORK_BUDGET
 from .perms import (
     PermGroup,
@@ -53,11 +58,27 @@ def _budget(cli_value: int | None) -> int:
         return cli_value
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"{BUDGET_ENV} must be an integer, got {env!r}") from exc
+        if not env.isdecimal():
+            raise UsageError(f"{BUDGET_ENV} must be a non-negative integer, got {env!r}")
+        return int(env)
     return DEFAULT_WORK_BUDGET
+
+
+def _count(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _prime_power(text: str) -> int:
+    """argparse type: a prime power q, the order of the field F_q."""
+    try:
+        q = int(text)
+        matrixalg.prime_power(q)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a prime power, got {text!r}") from None
+    return q
 
 
 def parse_group_name(name: str) -> PermGroup:
@@ -190,8 +211,11 @@ def cmd_configs(args, out) -> int:
 
 
 def cmd_expand(args, out) -> int:
-    fn = RatFun(_coeff_list(args.num), _coeff_list(args.den))
-    coeffs = fn.series(args.terms)
+    try:
+        fn = RatFun(_coeff_list(args.num), _coeff_list(args.den))
+        coeffs = fn.series(args.terms)
+    except (ZeroDenominatorError, NonUnitConstantTermError, NonIntegerCoefficientError) as exc:
+        raise UsageError(f"no integer power series for this --den: {exc}") from exc
     if args.format == "records":
         _emit_record(out, "series", num=_strings(fn.num.coeffs), den=_strings(fn.den.coeffs),
                      series=_strings(coeffs))
@@ -318,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--terms", type=int, default=None, metavar="N",
+    common.add_argument("--terms", type=_count, default=None, metavar="N",
                         help="also print series coefficients 0..N")
     common.add_argument("--format", choices=("text", "records"), default="text")
 
@@ -334,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mat = sub.add_parser("matrix-alg", parents=[common],
                            help="module-count generating functions over M_m(F_q)")
-    p_mat.add_argument("--q", type=int, required=True)
-    p_mat.add_argument("--m", type=int, required=True)
+    p_mat.add_argument("--q", type=_prime_power, required=True)
+    p_mat.add_argument("--m", type=_count, required=True)
     p_mat.add_argument("--stretch", action="store_true",
                        help="allow the 512-element ring M_3(F_2)")
     p_mat.set_defaults(func=cmd_matrix_alg)
@@ -343,21 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfg = sub.add_parser("configs", parents=[common],
                            help="point / vector configuration series")
     p_cfg.add_argument("--kind", choices=("point", "vector"), required=True)
-    p_cfg.add_argument("--m", type=int, required=True)
-    p_cfg.add_argument("--q", type=int, default=None)
+    p_cfg.add_argument("--m", type=_count, required=True)
+    p_cfg.add_argument("--q", type=_prime_power, default=None)
     p_cfg.set_defaults(func=cmd_configs)
 
     p_exp = sub.add_parser("expand", help="series coefficients of num/den")
     p_exp.add_argument("--num", required=True, metavar="COEFFS",
                        help="numerator coefficients, ascending powers, e.g. '1,-3,1'")
     p_exp.add_argument("--den", required=True, metavar="COEFFS")
-    p_exp.add_argument("--terms", type=int, required=True)
+    p_exp.add_argument("--terms", type=_count, required=True)
     p_exp.add_argument("--format", choices=("text", "records"), default="text")
     p_exp.set_defaults(func=cmd_expand)
 
     p_ver = sub.add_parser("verify", help="run golden-table / oracle comparisons")
     p_ver.add_argument("--suite", choices=("paper-tables", "oracles"), required=True)
-    p_ver.add_argument("--budget", type=int, default=None,
+    p_ver.add_argument("--budget", type=_count, default=None,
                        help=f"enumeration work budget (default {DEFAULT_WORK_BUDGET}; "
                             f"or set {BUDGET_ENV})")
     p_ver.add_argument("--stretch", action="store_true",

@@ -83,6 +83,13 @@ class BranchingMatrix:
         return tuple(self.matrix[i][j] for i in range(self.size))
 
 
+def _state_explosion(process: BranchingProcess, keys: list[ClassKey]) -> StateExplosionError:
+    return StateExplosionError(
+        f"more than {process.state_limit} classes discovered: {len(keys)} classes "
+        f"found so far, the last {process.label_for(keys[-1])!r}"
+    )
+
+
 def build_branching(process: BranchingProcess) -> BranchingMatrix:
     """Discover the reachable classes breadth-first and tabulate the matrix.
 
@@ -101,9 +108,7 @@ def build_branching(process: BranchingProcess) -> BranchingMatrix:
         for child in counts:
             if child not in index:
                 if len(order) >= process.state_limit:
-                    raise StateExplosionError(
-                        f"more than {process.state_limit} classes discovered"
-                    )
+                    raise _state_explosion(process, order)
                 index[child] = len(order)
                 order.append(child)
         children.append(counts)
@@ -167,9 +172,7 @@ def bfs_level_counts(process: BranchingProcess, depth: int) -> LevelCounts:
                 ci = index.get(child)
                 if ci is None:
                     if len(keys) >= process.state_limit:
-                        raise StateExplosionError(
-                            f"more than {process.state_limit} classes discovered"
-                        )
+                        raise _state_explosion(process, keys)
                     ci = index[child] = len(keys)
                     keys.append(child)
                 nxt[ci] = nxt.get(ci, 0) + count * mult

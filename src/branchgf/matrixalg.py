@@ -28,6 +28,7 @@ from .polyring import RatFun
 
 __all__ = [
     "Fq",
+    "prime_power",
     "MatRing",
     "Subalgebra",
     "RingKey",
@@ -46,12 +47,6 @@ PLAIN_SIZE_LIMIT = 81  # larger ambient rings require stretch=True
 Mat = tuple[int, ...]  # row-major flat m*m tuple of field elements
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
 class Fq:
     """Finite field of order q = p^k with full arithmetic tables.
 
@@ -63,7 +58,7 @@ class Fq:
     """
 
     def __init__(self, q: int):
-        p, k = _prime_power(q)
+        p, k = prime_power(q)
         self.q = q
         self.p = p
         self.k = k
@@ -118,18 +113,19 @@ class Fq:
         return f"Fq({self.q})"
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            k = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, k
-    raise ValueError(f"{q} is not a prime power")
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k for a prime p; ValueError when q is no prime power."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    # The least divisor above 1 is prime; q is a prime power iff it is p^k.
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k, n = 0, q
+    while n % p == 0:
+        n //= p
+        k += 1
+    if n != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, k
 
 
 def _digits(e: int, p: int, k: int) -> list[int]:

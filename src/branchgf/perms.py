@@ -2,11 +2,17 @@
 
 Groups are stored as full element lists (every group in scope has order at
 most a few hundred, where filtering beats stabilizer-chain machinery) and
-are immutable once built.  Isomorphism testing screens with cheap
-invariants first, then runs a backtracking search mapping a small
+are immutable once built.  Products of permutations already known to be
+valid skip the validation that the public Perm constructor runs.
+Isomorphism testing screens with cheap invariants first (the derived
+subgroup among them, as the normal closure of the commutators of a
+generating set), then runs a backtracking search mapping a small
 generating set onto candidate images.  A KeyRegistry assigns stable
 per-run tags so that isomorphic groups share one hashable key, which is
-what the tree engine consumes.
+what the tree engine consumes.  It answers a group whose element set it
+has keyed before without any test; only a new element set whose
+fingerprint matches a known group reaches is_isomorphic and its order
+limit, so the tree of S6 runs although S6 itself is above that limit.
 """
 
 from __future__ import annotations
@@ -62,24 +68,36 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap an image tuple already known to be a permutation, unchecked."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
+    def _check_degree(self, other: "Perm") -> None:
+        if len(self.images) != len(other.images):
+            raise ValueError(f"degrees differ: {self.degree} and {other.degree}")
+
     def __mul__(self, other: "Perm") -> "Perm":
         """Composition: (a*b)(x) = a(b(x))."""
-        a = self.images
-        return Perm(a[x] for x in other.images)
+        self._check_degree(other)
+        return Perm._trusted(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
         for i, x in enumerate(self.images):
             inv[x] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def conjugate(self, x: "Perm") -> "Perm":
         """self * x * self^-1 without forming the inverse."""
+        self._check_degree(x)
         g = self.images
         out = [0] * len(g)
         for i, xi in enumerate(x.images):
             out[g[i]] = g[xi]
-        return Perm(out)
+        return Perm._trusted(tuple(out))
 
     def commutes_with(self, other: "Perm") -> bool:
         a, b = self.images, other.images
@@ -107,7 +125,7 @@ class Perm:
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, weakly decreasing."""
@@ -293,12 +311,28 @@ class PermGroup:
 
     @cached_property
     def derived_subgroup_order(self) -> int:
-        commutators = {
-            a.inverse() * (b.inverse() * (a * b))
-            for a in self.elements
-            for b in self.elements
-        }
-        return len(closure(self.identity, sorted(commutators), operator.mul))
+        """|G'|, with G' the normal closure of the commutators of a generating set.
+
+        The generators commute modulo that closure, so it contains G'; it is
+        generated by commutators, so it lies in G'.  It is normal once every
+        conjugate of its generators by a generator of G lies in it.
+        """
+        gens = self.small_generating_set
+        normal_gens = sorted(
+            {a.inverse() * b.inverse() * a * b for a, b in itertools.combinations(gens, 2)}
+            - {self.identity}
+        )
+        subgroup = closure(self.identity, normal_gens, operator.mul)
+        pending = list(normal_gens)
+        while pending:
+            x = pending.pop()
+            for g in gens:
+                y = g.conjugate(x)
+                if y not in subgroup:
+                    normal_gens.append(y)
+                    pending.append(y)
+                    subgroup = closure(self.identity, normal_gens, operator.mul)
+        return len(subgroup)
 
     @cached_property
     def fingerprint(self) -> tuple:
@@ -334,11 +368,13 @@ class PermGroup:
 
 
 def is_isomorphic(g: PermGroup, h: PermGroup) -> bool:
-    """Decide isomorphism of two groups of order <= 512.
+    """Decide isomorphism of two groups of order <= ISO_ORDER_LIMIT (512).
 
     Screens by the invariant fingerprint, settles abelian pairs by their
     element-order statistics, and otherwise maps a small generating set of
-    g onto candidate tuples in h by backtracking.
+    g onto candidate tuples in h by backtracking.  Larger groups raise
+    OrderLimitError, even equal ones; KeyRegistry.key_for calls this only
+    for a new element set whose fingerprint matches a known group.
     """
     if g.order > ISO_ORDER_LIMIT or h.order > ISO_ORDER_LIMIT:
         raise OrderLimitError(f"isomorphism testing supports order <= {ISO_ORDER_LIMIT}")
@@ -424,24 +460,28 @@ class KeyRegistry:
 
     def __init__(self):
         self._by_fingerprint: dict[tuple, list[tuple[PermGroup, int]]] = {}
+        self._by_elements: dict[tuple[int, frozenset[Perm]], GroupKey] = {}
         self._next_tag = 0
         self.representatives: dict[GroupKey, PermGroup] = {}
 
     def key_for(self, group: PermGroup) -> GroupKey:
-        if group.order > ISO_ORDER_LIMIT:
-            raise OrderLimitError(
-                f"iso keys support order <= {ISO_ORDER_LIMIT}, got {group.order}"
-            )
+        """Key of group; a group with an element set seen before skips all tests."""
+        elements = (group.degree, group._element_set)
+        cached = self._by_elements.get(elements)
+        if cached is not None:
+            return cached
         fp = group.fingerprint
         bucket = self._by_fingerprint.setdefault(fp, [])
         for rep, tag in bucket:
             if is_isomorphic(rep, group):
-                return GroupKey(fp, tag)
-        tag = self._next_tag
-        self._next_tag += 1
-        bucket.append((group, tag))
-        key = GroupKey(fp, tag)
-        self.representatives[key] = group
+                key = GroupKey(fp, tag)
+                break
+        else:
+            key = GroupKey(fp, self._next_tag)
+            self._next_tag += 1
+            bucket.append((group, key.tag))
+            self.representatives[key] = group
+        self._by_elements[elements] = key
         return key
 
 

@@ -8,6 +8,7 @@ import pytest
 from branchgf import cli, commuting
 from branchgf.cli import (
     EXIT_LIMIT,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -161,12 +162,55 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("BRANCHGF_WORK_BUDGET", "5")
     status, _ = run_cli(["verify", "--suite", "oracles"])
     assert status == EXIT_LIMIT
-    monkeypatch.setenv("BRANCHGF_WORK_BUDGET", "not-a-number")
-    status, _ = run_cli(["verify", "--suite", "oracles"])
-    assert status == EXIT_USAGE
+    for bad in ("not-a-number", "-5"):
+        monkeypatch.setenv("BRANCHGF_WORK_BUDGET", bad)
+        status, _ = run_cli(["verify", "--suite", "oracles"])
+        assert status == EXIT_USAGE
 
 
 def test_parse_group_name_products():
     assert parse_group_name("C2xS3").order == 12
     assert parse_group_name("C2wrS2").order == 8
     assert parse_group_name("D4").order == 8
+
+
+EXIT_CODE_CASES = [
+    (["group", "--name", "S6", "--kind", "commuting", "--terms", "8"], EXIT_OK),
+    (["matrix-alg", "--q", "2", "--m", "0", "--terms", "3"], EXIT_OK),
+    (["configs", "--kind", "vector", "--q", "1000003", "--m", "1"], EXIT_OK),
+    (["expand", "--num", "1", "--den", "1,-1", "--terms", "0"], EXIT_OK),
+    (["verify", "--suite", "paper-tables"], EXIT_MISMATCH),
+    (["matrix-alg", "--q", "6", "--m", "2"], EXIT_USAGE),
+    (["matrix-alg", "--q", "1", "--m", "2"], EXIT_USAGE),
+    (["matrix-alg", "--q", "2", "--m", "-1"], EXIT_USAGE),
+    (["expand", "--num", "1", "--den", "0,1", "--terms", "4"], EXIT_USAGE),
+    (["expand", "--num", "1", "--den", "2,1", "--terms", "4"], EXIT_USAGE),
+    (["expand", "--num", "1", "--den", "0", "--terms", "4"], EXIT_USAGE),
+    (["configs", "--kind", "point", "--m", "-1"], EXIT_USAGE),
+    (["configs", "--kind", "vector", "--q", "6", "--m", "2"], EXIT_USAGE),
+    (["group", "--name", "S3", "--terms", "-1"], EXIT_USAGE),
+    (["group", "--name", "S7"], EXIT_USAGE),
+    (["verify", "--suite", "oracles", "--budget", "-1"], EXIT_USAGE),
+    (["matrix-alg", "--q", "4", "--m", "2"], EXIT_LIMIT),
+    (["verify", "--suite", "oracles", "--budget", "0"], EXIT_LIMIT),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code", EXIT_CODE_CASES, ids=[" ".join(argv) for argv, _ in EXIT_CODE_CASES]
+)
+def test_documented_exit_codes(argv, code, monkeypatch, capsys):
+    if code == EXIT_MISMATCH:
+        from branchgf import fixtures
+
+        corrupted = dict(fixtures.COMMUTING_ORBIT_GF)
+        corrupted[2] = ([1, 1], corrupted[2][1])
+        monkeypatch.setattr(fixtures, "COMMUTING_ORBIT_GF", corrupted)
+    try:
+        status = main(argv, out=io.StringIO())
+    except SystemExit as exc:  # argparse rejects a bad option value
+        status = exc.code
+    assert status == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert bool(err) == (code in (EXIT_USAGE, EXIT_LIMIT))

@@ -1,6 +1,7 @@
 """Commuting-tuple conjugacy classes and tuple-orbit series."""
 
 import itertools
+import math
 
 import pytest
 
@@ -186,3 +187,51 @@ def test_level_counts_match_series():
     process = commuting_process(group)
     totals = bfs_level_counts(process, 5).totals
     assert list(totals) == gf_total(build_branching(process)).series(5)
+
+
+# -- Bryan-Fulman closed form ----------------------------------------------------
+
+
+def _ordered_factorizations(k, n):
+    """Tuples (d_1, ..., d_n) of positive integers with product k."""
+    if n == 0:
+        if k == 1:
+            yield ()
+        return
+    for d in range(1, k + 1):
+        if k % d == 0:
+            for rest in _ordered_factorizations(k // d, n - 1):
+                yield (d,) + rest
+
+
+def bryan_fulman_count(m, n):
+    """Orbits of S_m on commuting n-tuples (Bryan and Fulman, Ann. Comb. 2, 1998).
+
+    The count is the coefficient of x^m in prod_k (1 - x^k)^(-a_n(k)) with
+    a_n(k) = sum over d_1...d_n = k of d_1^(n-1) d_2^(n-2) ... d_(n-1).
+    """
+    series = [1] + [0] * m
+    for k in range(1, m + 1):
+        a = sum(
+            math.prod(d ** (n - 1 - i) for i, d in enumerate(ds))
+            for ds in _ordered_factorizations(k, n)
+        )
+        # (1 - x^k)^(-a) = sum_j C(a + j - 1, j) x^(kj)
+        factor = [0] * (m + 1)
+        factor[0] = 1
+        for j in range(1, m // k + 1):
+            factor[k * j] = math.comb(a + j - 1, j)
+        series = [sum(series[i] * factor[s - i] for i in range(s + 1)) for s in range(m + 1)]
+    return series[m]
+
+
+def test_bryan_fulman_formula_s6_values():
+    assert [bryan_fulman_count(6, n) for n in range(9)] == [
+        1, 11, 92, 717, 5512, 42601, 333012, 2635637, 21102992,
+    ]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_commuting_gf_matches_bryan_fulman(m):
+    series = commuting_gf(symmetric_group(m)).series(8)
+    assert series == [bryan_fulman_count(m, n) for n in range(9)]

@@ -80,9 +80,10 @@ def test_state_explosion():
     process = BranchingProcess(
         root=0, children=lambda k: {k + 1: 1}, state_limit=50
     )
-    with pytest.raises(StateExplosionError):
+    progress = "50 classes found so far, the last '49'"
+    with pytest.raises(StateExplosionError, match=progress):
         build_branching(process)
-    with pytest.raises(StateExplosionError):
+    with pytest.raises(StateExplosionError, match=progress):
         bfs_level_counts(process, 100)
 
 

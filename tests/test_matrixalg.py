@@ -18,6 +18,7 @@ from branchgf.matrixalg import (
     module_orbit_counts,
     module_orbit_oracle,
     module_process,
+    prime_power,
     ring_fingerprint,
     ring_is_isomorphic,
     unit_conjugacy_classes,
@@ -35,6 +36,23 @@ def test_field_constructs_and_inverts(q):
 def test_field_rejects_non_prime_power():
     with pytest.raises(ValueError):
         Fq(6)
+
+
+def test_prime_power_split():
+    for q in range(-2, 130):
+        splits = [
+            (p, k)
+            for p in range(2, q + 1)
+            if all(p % d for d in range(2, p))
+            for k in range(1, q.bit_length())
+            if p**k == q
+        ]
+        if splits:
+            assert prime_power(q) == splits[0]
+        else:
+            with pytest.raises(ValueError):
+                prime_power(q)
+    assert prime_power(1_000_000_000_039) == (1_000_000_000_039, 1)
 
 
 def test_f4_structure():

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from branchgf.commuting import commuting_process
+from branchgf.engine import build_branching
 from branchgf.errors import ElementNotInGroupError, OrderLimitError
 from branchgf.perms import (
     KeyRegistry,
@@ -22,6 +24,8 @@ from branchgf.perms import (
 def test_perm_validation():
     with pytest.raises(ValueError):
         Perm([0, 0, 1])
+    with pytest.raises(ValueError):
+        Perm([0, 0])
 
 
 def test_perm_composition_and_inverse():
@@ -30,6 +34,12 @@ def test_perm_composition_and_inverse():
     assert (a * b).images == (2, 1, 0)  # apply b first, then a
     assert (a * a.inverse()).is_identity()
     assert a.conjugate(b) == a * b * a.inverse()
+    # Products skip the permutation check, so mixed degrees are refused.
+    for c in (Perm.identity(2), Perm.identity(4)):
+        with pytest.raises(ValueError):
+            a * c
+        with pytest.raises(ValueError):
+            a.conjugate(c)
 
 
 def test_perm_order_and_cycle_type():
@@ -209,8 +219,13 @@ def test_iso_order_limit():
     s6 = symmetric_group(6)
     with pytest.raises(OrderLimitError):
         is_isomorphic(s6, s6)
+    # The registry keys a group it has seen by its element set, with no
+    # iso test; only a new element set with a matching fingerprint reaches
+    # is_isomorphic and its order limit.
+    reg = KeyRegistry()
+    assert reg.key_for(s6) == reg.key_for(symmetric_group(6))
     with pytest.raises(OrderLimitError):
-        KeyRegistry().key_for(s6)
+        reg.key_for(direct_product(s6, symmetric_group(1)))
 
 
 def test_key_conjugation_invariance_randomized():
@@ -264,3 +279,40 @@ def test_subgroup_orders_divide_degree_factorial():
 
 def test_cycle_parser_accepts_spaces():
     assert parse_cycles("(1 2)(3 4)", 4) == parse_cycles("(1,2)(3,4)", 4)
+
+
+def _brute_derived_order(group):
+    """Order of the subgroup generated by all pairwise commutators."""
+    commutators = {a.inverse() * b.inverse() * a * b for a in group for b in group}
+    return PermGroup.from_generators(group.degree, sorted(commutators), group.order).order
+
+
+def _reached_centralizers(group):
+    """Every centralizer the commuting-tuple tree of group computes."""
+    reg = KeyRegistry()
+    build_branching(commuting_process(group, reg))
+    return [
+        z.centralizer([cls.rep])
+        for z in reg.representatives.values()
+        for cls in z.conjugacy_classes
+    ]
+
+
+def test_derived_subgroup_matches_brute_force():
+    groups = [symmetric_group(m) for m in range(1, 6)]
+    groups += [cyclic_group(k) for k in range(1, 7)]
+    groups += [dihedral_group(n) for n in range(3, 9)]
+    groups += [
+        wreath_c2_s2(),
+        direct_product(cyclic_group(2), symmetric_group(3)),
+        direct_product(dihedral_group(8), cyclic_group(2)),
+        direct_product(symmetric_group(5), cyclic_group(2)),
+    ]
+    c2wrs2xs4 = direct_product(wreath_c2_s2(), symmetric_group(4))
+    groups.append(c2wrs2xs4)
+    groups += _reached_centralizers(symmetric_group(5))
+    groups += _reached_centralizers(c2wrs2xs4)
+    distinct = {(g.degree, g._element_set): g for g in groups}
+    assert len(distinct) > 50
+    for g in distinct.values():
+        assert g.derived_subgroup_order == _brute_derived_order(g), g
