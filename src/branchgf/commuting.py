@@ -3,7 +3,8 @@
 The orbits of G acting diagonally on commuting n-tuples form the level-n
 nodes of a rooted tree; a node's children are the conjugacy classes of the
 running centralizer, so keying each node by the isomorphism class of that
-centralizer yields a self-similar keying the branching engine can consume.
+centralizer yields a self-similar keying; commuting_process builds it
+with engine.centralizer_tower, as branchgf.matrixalg does for rings.
 Orbit counts of all (not necessarily commuting) tuples have a classical
 closed form as a centralizer-size partial-fraction sum, implemented here
 both over the group elements and, for symmetric groups, over partitions.
@@ -18,9 +19,9 @@ import math
 from functools import partial
 from typing import Iterator
 
-from .engine import BranchingProcess, build_branching, gf_total
+from .engine import BranchingProcess, build_branching, centralizer_tower, gf_total
 from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, least_image
-from .perms import GroupKey, KeyRegistry, PermGroup
+from .perms import KeyRegistry, PermGroup
 from .polyring import Poly, RatFun, ratfun_sum
 
 __all__ = [
@@ -37,47 +38,25 @@ __all__ = [
 ]
 
 
-def commuting_process(
-    group: PermGroup,
-    registry: KeyRegistry | None = None,
-    state_limit: int = 10_000,
-) -> BranchingProcess:
+def commuting_process(group: PermGroup, registry: KeyRegistry | None = None) -> BranchingProcess:
     """Branching process whose level-n classes are the orbits of commuting n-tuples.
 
-    Keys are centralizer isomorphism classes: the children of a node with
-    centralizer Z are the conjugacy classes of Z, each keyed by the
-    centralizer in Z of its representative.  Keying by group isomorphism
-    may split true classes but never merges distinct ones, which is all
-    the branching engine needs.
+    The centralizer tower of the group (engine.centralizer_tower): the
+    children of a node with centralizer Z are the conjugacy classes of Z,
+    each keyed by the group-isomorphism class of the centralizer in Z of
+    its representative.
     """
-    reg = registry if registry is not None else KeyRegistry()
-    memo: dict[GroupKey, dict[GroupKey, int]] = {}
-
-    root = reg.key_for(group)
-
-    def children(key: GroupKey) -> dict[GroupKey, int]:
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        z = reg.representatives[key]
-        counts: dict[GroupKey, int] = {}
-        for cls in z.conjugacy_classes:
-            child = reg.key_for(z.centralizer([cls.rep]))
-            counts[child] = counts.get(child, 0) + 1
-        memo[key] = counts
-        return counts
-
-    return BranchingProcess(
-        root=root,
-        children=children,
-        label=lambda key: str(key),
-        state_limit=state_limit,
+    return centralizer_tower(
+        group,
+        registry if registry is not None else KeyRegistry(),
+        classes=lambda z: [cls.rep for cls in z.conjugacy_classes],
+        centralizer=lambda z, rep: z.centralizer([rep]),
     )
 
 
-def commuting_gf(group: PermGroup, registry: KeyRegistry | None = None) -> RatFun:
+def commuting_gf(group: PermGroup) -> RatFun:
     """Generating function of simultaneous-conjugacy classes of commuting tuples."""
-    return gf_total(build_branching(commuting_process(group, registry)))
+    return gf_total(build_branching(commuting_process(group)))
 
 
 def burnside_gf(group: PermGroup) -> RatFun:

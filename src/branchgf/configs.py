@@ -49,36 +49,31 @@ __all__ = [
 # -- branching processes ---------------------------------------------------------
 
 
-def point_config_process(m: int) -> BranchingProcess:
-    """Chain process for point configurations: a type-i node has i children
-    of type i and, below m, one child of type i+1."""
+def _type_chain(m: int, stay: Callable[[int], int]) -> BranchingProcess:
+    """Chain process: a type-i node has stay(i) children of type i and,
+    below m, one child of type i+1."""
     if m < 0:
         raise ValueError("m must be non-negative")
 
     def children(i: int) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        if i > 0:
-            counts[i] = i
+        counts = {i: stay(i)}
         if i < m:
             counts[i + 1] = 1
         return counts
 
     return BranchingProcess(root=0, children=children, label=lambda i: f"type {i}")
+
+
+def point_config_process(m: int) -> BranchingProcess:
+    """Chain process for point configurations: a type-i node has i children
+    of type i and, below m, one child of type i+1."""
+    return _type_chain(m, lambda i: i)
 
 
 def vector_config_process(q: int, m: int) -> BranchingProcess:
     """Chain process for vector configurations: a type-i node has q^i
     children of type i and, below m, one child of type i+1."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-
-    def children(i: int) -> dict[int, int]:
-        counts: dict[int, int] = {i: q**i}
-        if i < m:
-            counts[i + 1] = 1
-        return counts
-
-    return BranchingProcess(root=0, children=children, label=lambda i: f"type {i}")
+    return _type_chain(m, lambda i: q**i)
 
 
 def point_type_gf(i: int) -> RatFun:

@@ -26,6 +26,7 @@ from .polyring import Poly, RatFun, bareiss_det, poly_gcd, ratfun_sum, resolvent
 __all__ = [
     "BranchingProcess",
     "BranchingMatrix",
+    "centralizer_tower",
     "build_branching",
     "gf_class",
     "gf_total",
@@ -65,6 +66,23 @@ class BranchingProcess:
 
     def label_for(self, key: ClassKey) -> str:
         return self.label(key) if self.label is not None else str(key)
+
+
+def centralizer_tower(
+    top, registry, classes: Callable, centralizer: Callable
+) -> BranchingProcess:
+    """The process whose nodes are running centralizers Z, starting at top.
+
+    The children of Z are keyed by registry.key_for(centralizer(Z, rep))
+    for each class representative rep in classes(Z), and
+    registry.representatives maps a key back to its Z.
+    """
+
+    def children(key: ClassKey) -> Counter:
+        z = registry.representatives[key]
+        return Counter(registry.key_for(centralizer(z, rep)) for rep in classes(z))
+
+    return BranchingProcess(root=registry.key_for(top), children=children)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ isomorphism classes of m-dimensional modules over a polynomial algebra in
 n variables - form a self-similar rooted tree exactly as commuting tuples
 in a group do, with the running centralizer subring in the role of the
 centralizer subgroup and unit-group conjugacy in the role of conjugacy.
-States are keyed by unital-ring isomorphism classes.
+States are keyed by unital-ring isomorphism classes, and module_process
+builds the tree with engine.centralizer_tower, as branchgf.commuting does.
 
 Matrices are flat tuples of field elements (ints < q); fields carry
 precomputed arithmetic tables.  Desk scale is m <= 3 and q in {2, 3}; the
@@ -21,7 +22,7 @@ import math
 from functools import cached_property, partial
 from typing import Iterable, NamedTuple, Sequence
 
-from .engine import BranchingProcess, build_branching, gf_total
+from .engine import BranchingProcess, build_branching, centralizer_tower, gf_total
 from .errors import ElementNotInAlgebraError, SizeLimitError
 from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, closure, least_image
 from .polyring import RatFun
@@ -235,10 +236,6 @@ def mat_mul(field: Fq, a: Mat, b: Mat, m: int) -> Mat:
 def mat_add(field: Fq, a: Mat, b: Mat) -> Mat:
     add = field.add
     return tuple(add[x][y] for x, y in zip(a, b))
-
-
-def mat_neg(field: Fq, a: Mat) -> Mat:
-    return tuple(field.neg[x] for x in a)
 
 
 def mat_inv(field: Fq, a: Mat, m: int) -> Mat | None:
@@ -533,23 +530,10 @@ def _ring_generators(z: Subalgebra) -> tuple[Mat, ...]:
 
 
 def _subring_closure(ring: MatRing, seed: Sequence[Mat]) -> set[Mat]:
-    known = {ring.zero, ring.identity, *seed}
-    frontier = list(known)
-    while frontier:
-        nxt = []
-        snapshot = list(known)
-        for x in frontier:
-            for y in snapshot:
-                for candidate in (
-                    mat_add(ring.field, x, y),
-                    ring.mul(x, y),
-                    ring.mul(y, x),
-                ):
-                    if candidate not in known:
-                        known.add(candidate)
-                        nxt.append(candidate)
-        frontier = nxt
-    return known
+    # The subring generated by seed is the additive (F_p, not F_q) span of
+    # the multiplicative monoid that seed and 1 generate.
+    monoid = closure(ring.identity, seed, ring.mul)
+    return closure(ring.zero, list(monoid), partial(mat_add, ring.field))
 
 
 def _element_profile(z: Subalgebra, a: Mat) -> tuple:
@@ -653,48 +637,31 @@ class RingKeyRegistry:
 # -- the module-counting tree ----------------------------------------------------
 
 
-def module_process(
-    q: int,
-    m: int,
-    stretch: bool = False,
-    registry: RingKeyRegistry | None = None,
-) -> BranchingProcess:
-    """Branching process counting m-dimensional modules of n-variable polynomial algebras.
-
-    Level-n classes are simultaneous-similarity classes of commuting
-    n-tuples in M_m(F_q).  Children of a state with centralizer ring Z are
-    the unit-conjugacy classes of Z, keyed by the ring-isomorphism class
-    of the centralizer in Z of a representative.
-    """
+def _matrix_ring(q: int, m: int, stretch: bool) -> MatRing:
+    """M_m(F_q), refused above PLAIN_SIZE_LIMIT elements unless stretch is set."""
     field = Fq(q)
     size = q ** (m * m)
     if size > PLAIN_SIZE_LIMIT and not stretch:
         raise SizeLimitError(
             f"M_{m}(F_{q}) has {size} elements; pass stretch=True above {PLAIN_SIZE_LIMIT}"
         )
-    ring = MatRing(field, m)
-    reg = registry if registry is not None else RingKeyRegistry()
-    memo: dict[RingKey, dict[RingKey, int]] = {}
+    return MatRing(field, m)
 
-    root = reg.key_for(Subalgebra.full(ring))
 
-    def children(key: RingKey) -> dict[RingKey, int]:
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        z = reg.representatives[key]
-        counts: dict[RingKey, int] = {}
-        for rep, _size in unit_conjugacy_classes(z):
-            child = reg.key_for(centralizer_ring(z, rep))
-            counts[child] = counts.get(child, 0) + 1
-        memo[key] = counts
-        return counts
+def module_process(q: int, m: int, stretch: bool = False) -> BranchingProcess:
+    """Branching process counting m-dimensional modules of n-variable polynomial algebras.
 
-    return BranchingProcess(
-        root=root,
-        children=children,
-        label=lambda key: str(key),
-        state_limit=10_000,
+    Level-n classes are simultaneous-similarity classes of commuting
+    n-tuples in M_m(F_q).  The centralizer tower of M_m(F_q)
+    (engine.centralizer_tower): the children of a state with centralizer
+    ring Z are the unit-conjugacy classes of Z, keyed by the
+    ring-isomorphism class of the centralizer in Z of a representative.
+    """
+    return centralizer_tower(
+        Subalgebra.full(_matrix_ring(q, m, stretch)),
+        RingKeyRegistry(),
+        classes=lambda z: [rep for rep, _size in unit_conjugacy_classes(z)],
+        centralizer=lambda z, rep: centralizer_ring(z, rep),
     )
 
 
@@ -715,13 +682,7 @@ def module_orbit_counts(
     Representatives are lexicographic minima over the full unit group, and
     a prefix is extended only by elements commuting with all its entries.
     """
-    field = Fq(q)
-    size = q ** (m * m)
-    if size > PLAIN_SIZE_LIMIT and not stretch:
-        raise SizeLimitError(
-            f"M_{m}(F_{q}) has {size} elements; pass stretch=True above {PLAIN_SIZE_LIMIT}"
-        )
-    ring = MatRing(field, m)
+    ring = _matrix_ring(q, m, stretch)
     elements = ring.elements
 
     def commuting(rep: tuple[int, ...]) -> list[int]:

@@ -44,6 +44,7 @@ __all__ = [
 
 ISO_ORDER_LIMIT = 512
 CLOSURE_ORDER_LIMIT = 512
+PRODUCT_ORDER_LIMIT = 10_000
 
 
 class Perm:
@@ -517,11 +518,16 @@ def dihedral_group(n: int) -> PermGroup:
         return direct_product(cyclic_group(2), cyclic_group(2))
     rotation = Perm(list(range(1, n)) + [0])
     reflection = Perm([(n - i) % n for i in range(n)])
-    return PermGroup.from_generators(n, [rotation, reflection], order_limit=2 * n)
+    return PermGroup.from_generators(n, [rotation, reflection])
 
 
 def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
-    """G x H acting on the disjoint union of the two domains."""
+    """G x H on the disjoint union of the domains, at most PRODUCT_ORDER_LIMIT elements."""
+    order = g.order * h.order
+    if order > PRODUCT_ORDER_LIMIT:
+        raise OrderLimitError(
+            f"direct product order {order} exceeds the limit {PRODUCT_ORDER_LIMIT}"
+        )
     degree = g.degree + h.degree
     shift = g.degree
     elements = [

@@ -192,6 +192,8 @@ EXIT_CODE_CASES = [
     (["group", "--name", "S7"], EXIT_USAGE),
     (["verify", "--suite", "oracles", "--budget", "-1"], EXIT_USAGE),
     (["matrix-alg", "--q", "4", "--m", "2"], EXIT_LIMIT),
+    (["group", "--name", "S6xS6xS6"], EXIT_LIMIT),
+    (["group", "--name", "D300"], EXIT_LIMIT),
     (["verify", "--suite", "oracles", "--budget", "0"], EXIT_LIMIT),
 ]
 

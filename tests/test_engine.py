@@ -1,12 +1,17 @@
 """Branching engine: class discovery, resolvent vs direct iteration."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import branchgf.engine
 from branchgf.engine import (
     BranchingMatrix,
     BranchingProcess,
     bfs_level_counts,
     build_branching,
+    centralizer_tower,
     class_gfs,
     denominators_divide_det,
     gf_class,
@@ -144,3 +149,51 @@ def test_negative_multiplicities_rejected():
     process = BranchingProcess(root="a", children=lambda k: {"a": -1})
     with pytest.raises(ValueError):
         build_branching(process)
+
+
+class _SizeRegistry:
+    """Keys a frozenset by its size; the first set of each size represents it."""
+
+    def __init__(self):
+        self.representatives = {}
+
+    def key_for(self, z):
+        self.representatives.setdefault(len(z), z)
+        return len(z)
+
+
+def test_centralizer_tower_on_subset_lattice():
+    # Toy tower: a node is a set Z, its "classes" are its elements and the
+    # "centralizer" of a in Z drops a.  Children of a size-k node: k nodes
+    # of size k - 1, so level n has k!/(k-n)! nodes.
+    registry = _SizeRegistry()
+    process = centralizer_tower(
+        frozenset(range(4)),
+        registry,
+        classes=lambda z: sorted(z),
+        centralizer=lambda z, a: z - {a},
+    )
+    assert process.root == 4
+    assert process.child_counts(4) == {3: 4}
+    assert process.label_for(4) == "4"
+    bm = build_branching(process)
+    assert bm.keys == (4, 3, 2, 1, 0)
+    assert bfs_level_counts(process, 5).totals == (1, 4, 12, 24, 24, 0)
+    assert verify_tree(process, 5)
+
+
+def test_engine_imports_no_instantiation():
+    # The engine stays generic: group, ring and configuration code plugs
+    # in through centralizer_tower's arguments, never through an import.
+    tree = ast.parse(Path(branchgf.engine.__file__).read_text(encoding="utf-8"))
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").startswith("branchgf")
+        ):
+            package_imports.add(("." * node.level) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            package_imports.update(
+                alias.name for alias in node.names if alias.name.startswith("branchgf")
+            )
+    assert package_imports == {".errors", ".polyring"}

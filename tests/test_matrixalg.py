@@ -1,5 +1,7 @@
 """Finite fields, subalgebras, and module-count series."""
 
+import itertools
+
 import pytest
 
 from branchgf.engine import build_branching, verify_tree
@@ -11,6 +13,7 @@ from branchgf.matrixalg import (
     RingKeyRegistry,
     Subalgebra,
     centralizer_ring,
+    mat_add,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -19,6 +22,7 @@ from branchgf.matrixalg import (
     module_orbit_oracle,
     module_process,
     prime_power,
+    _subring_closure,
     ring_fingerprint,
     ring_is_isomorphic,
     unit_conjugacy_classes,
@@ -115,6 +119,33 @@ def test_subalgebra_size_must_be_a_field_power():
     not_closed = Subalgebra(ring, [(0, 0, 0, 0), (1, 0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 0)])
     with pytest.raises(ValueError):
         not_closed.basis
+
+
+def _brute_subring(ring, seed):
+    # Least set holding 0, 1 and seed that is closed under +, * and reversed *.
+    known = {ring.zero, ring.identity, *seed}
+    while True:
+        grown = known | {
+            c
+            for x in known
+            for y in known
+            for c in (mat_add(ring.field, x, y), ring.mul(x, y), ring.mul(y, x))
+        }
+        if grown == known:
+            return known
+        known = grown
+
+
+def test_subring_closure_matches_brute_force():
+    m2f2 = MatRing(Fq(2), 2)
+    for seed in itertools.combinations_with_replacement(m2f2.elements, 2):
+        assert _subring_closure(m2f2, seed) == _brute_subring(m2f2, seed), seed
+    m2f4 = MatRing(Fq(4), 2)
+    for a in m2f4.elements[::5]:
+        assert _subring_closure(m2f4, [a]) == _brute_subring(m2f4, [a]), a
+    # The span is additive, over F_2: the idempotent E11 generates
+    # {0, 1, E11, 1 + E11}, not the 16-element F_4-span.
+    assert len(_subring_closure(m2f4, [(1, 0, 0, 0)])) == 4
 
 
 def test_unit_classes_of_full_m1():

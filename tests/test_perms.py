@@ -260,6 +260,18 @@ def test_dihedral_small_cases():
     assert not dihedral_group(4).is_abelian
 
 
+def test_dihedral_and_product_order_caps():
+    # D_n uses the default closure cap, as C_k does; a direct product is
+    # refused by its order before any element is built.
+    assert dihedral_group(256).order == 512
+    with pytest.raises(OrderLimitError):
+        dihedral_group(257)
+    s6 = symmetric_group(6)
+    assert direct_product(s6, cyclic_group(8)).order == 5760
+    with pytest.raises(OrderLimitError, match="518400"):
+        direct_product(s6, s6)
+
+
 def test_symmetric_group_range():
     assert symmetric_group(6).order == 720
     with pytest.raises(ValueError):
