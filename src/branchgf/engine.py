@@ -30,6 +30,7 @@ __all__ = [
     "build_branching",
     "gf_class",
     "gf_total",
+    "class_gfs",
     "bfs_level_counts",
     "verify_tree",
     "render_dot",

@@ -10,14 +10,17 @@ slightly weaker "positive" normalization is needed so that scalar
 multiples such as 1/(6*(1 - 6*t)) remain representable over the integers.
 
 The module also provides the resolvent computation: the first column of
-(I - B*t)^-1 for a non-negative integer matrix B, obtained by fraction-free
-(Bareiss) elimination so that all intermediate arithmetic stays in Z[t].
+(I - B*t)^-1 for a non-negative integer matrix B, obtained by block forward
+substitution over the strongly connected components of B's class graph
+(Tarjan 1972).  Fraction-free (Bareiss 1968) elimination runs only inside
+cyclic components, one solve each, so all arithmetic stays in Z[t].
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -30,6 +33,7 @@ __all__ = [
     "Poly",
     "RatFun",
     "ratfun_eq",
+    "ratfun_sum",
     "geometric_factors",
     "resolvent_column",
     "bareiss_det",
@@ -229,6 +233,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         g = a.primitive_part().scale(a.content())
     else:
         c = math.gcd(a.content(), b.content())
+        if a.degree == 0 or b.degree == 0:
+            return Poly([c])
         x, y = a.primitive_part(), b.primitive_part()
         while not y.is_zero:
             r = _pseudo_rem(x, y)
@@ -418,13 +424,49 @@ def ratfun_eq(a: RatFun, b: RatFun) -> bool:
 
 
 def ratfun_sum(terms: Iterable[RatFun]) -> RatFun:
-    total = RatFun(ZERO)
+    """Sum over the lcm of the denominators, reduced once; poly_gcd runs only
+    for a denominator that neither divides the lcm so far nor is its multiple."""
+    terms = list(terms)
+    den = ONE
     for term in terms:
-        total = total + term
-    return total
+        if not _divides(term.den, den):
+            den = (term.den if _divides(den, term.den)
+                   else den * term.den.divexact(poly_gcd(den, term.den)))
+    return RatFun(sum((x.num * den.divexact(x.den) for x in terms), ZERO), den)
+
+
+def _divides(d: Poly, p: Poly) -> bool:
+    try:
+        p.divexact(d)
+    except ValueError:
+        return False
+    return True
 
 
 # -- resolvent of I - B*t -------------------------------------------------
+
+
+def _bareiss_eliminate(a: list[list[Poly]], n: int) -> int:
+    """Fraction-free forward elimination of the first n columns of the n
+    rows of a, in place, carrying any further columns along.  Returns the
+    sign of the row permutation, or 0 when the n x n part is singular."""
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if a[k][k].is_zero:
+            for r in range(k + 1, n):
+                if not a[r][k].is_zero:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, len(a[i])):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divexact(prev)
+            a[i][k] = ZERO
+        prev = a[k][k]
+    return sign
 
 
 def bareiss_det(mat: Sequence[Sequence[Poly]]) -> Poly:
@@ -439,24 +481,38 @@ def bareiss_det(mat: Sequence[Sequence[Poly]]) -> Poly:
     a = [list(row) for row in mat]
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divexact(prev)
-            a[i][k] = ZERO
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    sign = _bareiss_eliminate(a, n)
+    return a[n - 1][n - 1].scale(sign)
+
+
+def _components_from(root: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components reachable from root, parents first: Tarjan
+    (1972) with an explicit stack, so long chains cannot hit the recursion limit."""
+    n = len(succ)
+    index, low, stack, components = [-1] * n, [0] * n, [root], []
+    index[root], count, work = 0, 1, [(root, iter(succ[root]))]
+    while work:
+        v, edges = work[-1]
+        for w in edges:
+            if index[w] < 0:
+                index[w] = low[w] = count
+                count += 1
+                stack.append(w)
+                work.append((w, iter(succ[w])))
+                break
+            low[v] = min(low[v], index[w])  # index n once w's component is done
+        else:
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                component = [stack.pop()]
+                while component[-1] != v:
+                    component.append(stack.pop())
+                for w in component:
+                    index[w] = n
+                components.append(sorted(component))
+    return components[::-1]
 
 
 def resolvent_column(
@@ -464,32 +520,43 @@ def resolvent_column(
 ) -> list[RatFun]:
     """First column of (I - B*t)^-1 as exact rational functions.
 
-    Entry i is the cofactor expansion adj(I - B*t)[i][0] / det(I - B*t);
-    every denominator divides det(I - B*t), which has constant term 1.
-    When n_check > 0 the result is verified against n_check steps of the
-    integer iteration B^n e_1, an independent identity that must hold for
-    any correct inverse.
+    Block forward substitution over the strongly connected components of
+    the class graph (edge j -> i when b[i][j] != 0) that the root reaches,
+    parents first; unreached classes get 0.  Entries are N_i / D, D the
+    product of the component determinants so far (constant term 1).  Row i
+    of a component has right-hand side [i == 0] + t * sum b[i][j]*N_j over
+    j outside it (D = 1 at the root's, the first), and its determinant
+    multiplies D and the earlier N_j.  When n_check > 0 the result is
+    verified against n_check steps of the integer iteration B^n e_1, an
+    independent identity that must hold for any correct inverse.
     """
     n = len(b)
     if any(len(row) != n for row in b):
         raise ValueError("branching matrix must be square")
-    if any(x < 0 for row in b for x in row):
+    if any(min(row) < 0 for row in b):
         raise ValueError("branching matrix entries must be non-negative")
-    m = [
-        [Poly([1 if i == j else 0, -b[i][j]]) for j in range(n)]
-        for i in range(n)
-    ]
-    det = bareiss_det(m)
-    column: list[RatFun] = []
-    for i in range(n):
-        minor = [
-            [m[r][c] for c in range(n) if c != i]
-            for r in range(1, n)
-        ]
-        cof = bareiss_det(minor)
-        if i % 2:
-            cof = -cof
-        column.append(RatFun(cof, det))
+    preds = [list(compress(range(n), row)) for row in b]  # the j with b[i][j] != 0
+    succ = [list(compress(range(n), column)) for column in zip(*b)]
+    nums, den = [ZERO] * n, ONE
+    for block in _components_from(0, succ) if n else ():
+        a = []
+        for i in block:  # the block's own N_j are still 0
+            acc = sum((nums[j].scale(b[i][j]) for j in preds[i]), ZERO)
+            a.append([Poly([int(i == c), -b[i][c]]) for c in block])
+            a[-1].append(Poly([int(i == 0), *acc.coeffs]))
+        # One fraction-free solve; leading minors of I - B*t have constant
+        # term 1, so no pivot is zero and a one-class block needs no step.
+        k = len(block)
+        _bareiss_eliminate(a, k)
+        det = a[k - 1][k - 1]
+        if det != ONE:
+            nums = [x * det if x else x for x in nums]
+            den = den * det
+        nums[block[-1]] = a[k - 1][k]
+        for r in range(k - 2, -1, -1):  # det * x is in Z[t] by Cramer's rule
+            acc = sum((a[r][c] * nums[block[c]] for c in range(r + 1, k)), ZERO)
+            nums[block[r]] = (det * a[r][k] - acc).divexact(a[r][r])
+    column = [RatFun(x, den) for x in nums]
     if n_check > 0:
         _check_against_iteration(b, column, n_check)
     return column

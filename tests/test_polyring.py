@@ -1,6 +1,8 @@
 """Exact polynomial / rational-function arithmetic."""
 
+import operator
 import random
+from functools import reduce
 
 import pytest
 
@@ -9,8 +11,11 @@ from branchgf.errors import (
     NonUnitConstantTermError,
     ZeroDenominatorError,
 )
+from branchgf.configs import point_config_process
+from branchgf.engine import build_branching
 from branchgf.polyring import (
     ONE,
+    ZERO,
     Poly,
     RatFun,
     bareiss_det,
@@ -59,6 +64,8 @@ def test_poly_divexact_rejects_inexact():
         ([1, -4, 4], [1, -2], [1, -2]),
         ([1, -3, 2], [1, -1], [1, -1]),
         ([6], [4], [2]),
+        ([4, 0, -6], [6], [2]),
+        ([1, -2], [-1], [1]),
     ],
 )
 def test_poly_gcd(a, b, g):
@@ -258,3 +265,156 @@ def test_randomized_add_commutative_associative():
         assert ratfun_eq(a + b, b + a)
         assert ratfun_eq((a + b) + c, a + (b + c))
         assert ratfun_eq(a * b, b * a)
+
+
+def test_ratfun_sum_matches_left_fold():
+    rng = random.Random(11)
+    fixed = [
+        RatFun(Poly([1]), Poly([6]) * one_minus(6)),
+        RatFun(Poly([5]), Poly([3, -1])),
+        RatFun(Poly([-2, 1]), Poly([2]) * one_minus(2) * one_minus(2)),
+    ]
+    cases = [[], [RatFun(ZERO)], fixed, fixed + fixed]
+    for _ in range(150):
+        terms = [_random_ratfun(rng) for _ in range(rng.randint(1, 6))]
+        terms += [RatFun(ZERO)] * rng.randint(0, 2)
+        terms += [RatFun(Poly([rng.randint(-4, 4)]), rng.choice(terms).den)
+                  for _ in range(rng.randint(0, 2))]
+        terms += rng.sample(fixed, rng.randint(0, 2))
+        rng.shuffle(terms)
+        cases.append(terms)
+    for terms in cases:
+        assert ratfun_sum(terms) == reduce(operator.add, terms, RatFun(ZERO))
+    assert ratfun_sum([]) == RatFun(ZERO) and ratfun_sum(iter(fixed)) == ratfun_sum(fixed)
+
+
+def _cofactor_column(b):
+    """Entry i of (I - B*t)^-1 e_0 by the cofactor formula adj[i][0] / det."""
+    n = len(b)
+    m = [[Poly([int(i == j), -b[i][j]]) for j in range(n)] for i in range(n)]
+    det = bareiss_det(m)
+    column = []
+    for i in range(n):
+        cof = bareiss_det([[m[r][c] for c in range(n) if c != i] for r in range(1, n)])
+        column.append(RatFun(-cof if i % 2 else cof, det))
+    return column
+
+
+def _strongly_connected(rng, n):
+    # Built like the benchmark's random chains: a weighted cycle through
+    # every class plus n extra weighted edges.
+    cycle = [0] + rng.sample(range(1, n), n - 1)
+    b = [[0] * n for _ in range(n)]
+    for parent, child in zip(cycle, cycle[1:] + cycle[:1]):
+        b[child][parent] = rng.randint(1, 2)
+    for _ in range(n):
+        b[rng.randrange(n)][rng.randrange(n)] += rng.randint(1, 2)
+    return b
+
+
+def _block_dag(rng, n, singletons=False, loops=True):
+    """Consecutive blocks of classes, each a weighted cycle or one class,
+    with extra edges only from a class to a later one; the non-root classes
+    are then relabelled at random."""
+    k = n - 1 if singletons else rng.randint(0, n - 1)
+    cuts = sorted(rng.sample(range(1, n), k))
+    b = [[0] * n for _ in range(n)]
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        if hi - lo > 1:
+            for parent in range(lo, hi):
+                b[lo + (parent + 1 - lo) % (hi - lo)][parent] = rng.randint(1, 2)
+        for i in range(lo, hi):
+            if loops and rng.random() < 0.5:
+                b[i][i] = rng.randint(1, 3)
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        j, i = sorted(rng.sample(range(n), 2))
+        b[i][j] += rng.randint(1, 2)
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    return [[b[perm.index(i)][perm.index(j)] for j in range(n)] for i in range(n)]
+
+
+def _reach(b):
+    """reach[j][i]: class i is reachable from class j (every class reaches itself)."""
+    n = len(b)
+    reach = [[i == j or b[i][j] != 0 for i in range(n)] for j in range(n)]
+    for k in range(n):
+        for j in range(n):
+            if reach[j][k]:
+                reach[j] = [x or y for x, y in zip(reach[j], reach[k])]
+    return reach
+
+
+def _resolvent_cases():
+    rng = random.Random(2026)
+    cases = []
+    for seed in range(40):
+        n = 1 + seed % 8
+        cases.append(_block_dag(rng, n))
+        cases.append(_block_dag(rng, n, singletons=True, loops=False))
+        cases.append(_strongly_connected(rng, n))
+        b = _block_dag(rng, n)
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            for row in b:
+                row[j] = 0
+        cases.append(b)
+        b = _block_dag(rng, n)
+        b[0] = [0] * n
+        cases.append(b)  # no edge into the root, not even a self-loop
+        b = _block_dag(rng, n)
+        unreached = rng.sample(range(1, n), rng.randint(1, n - 1)) if n > 1 else []
+        for i in unreached:
+            b[i] = [x if j in unreached else 0 for j, x in enumerate(b[i])]
+        for j in unreached:
+            b[0][j] += rng.randint(0, 2)
+        cases.append(b)  # classes no edge leads into from the root's side
+    return cases
+
+
+def test_resolvent_cases_cover_every_shape():
+    shapes = dict.fromkeys(
+        ("cyclic block in a dag", "unreached", "edge into root from unreached",
+         "singleton without loop", "zero column", "strongly connected"), 0)
+    for b in _resolvent_cases():
+        n, reach = len(b), _reach(b)
+        blocks = {frozenset(i for i in range(n) if reach[j][i] and reach[i][j])
+                  for j in range(n)}
+        shapes["cyclic block in a dag"] += len(blocks) > 1 and max(map(len, blocks)) > 1
+        shapes["unreached"] += not all(reach[0])
+        shapes["edge into root from unreached"] += any(
+            b[0][j] and not reach[0][j] for j in range(n))
+        shapes["singleton without loop"] += any(
+            c == {i} and not b[i][i] and reach[0][i] for c in blocks for i in c)
+        shapes["zero column"] += any(not any(row[j] for row in b) for j in range(n))
+        shapes["strongly connected"] += n > 1 and len(blocks) == 1
+    assert min(shapes.values()) >= 10, shapes
+
+
+def test_resolvent_matches_cofactor_formula():
+    cases = _resolvent_cases()
+    assert len(cases) >= 200 and {len(b) for b in cases} == set(range(1, 9))
+    for b in cases:
+        assert resolvent_column(b) == _cofactor_column(b), b
+
+
+def test_resolvent_and_sum_multiplication_count(monkeypatch):
+    matrix = build_branching(point_config_process(32)).matrix
+    calls = 0
+    mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    ratfun_sum(resolvent_column(matrix))
+    assert 0 < calls < 50_000
+
+
+def test_resolvent_long_path_without_recursion():
+    n = 2000
+    b = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        b[i + 1][i] = 1
+    column = resolvent_column(b, n_check=0)
+    assert column == [RatFun(Poly([0] * i + [1])) for i in range(n)]
