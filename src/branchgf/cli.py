@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mat.add_argument("--q", type=_prime_power, required=True)
     p_mat.add_argument("--m", type=_count, required=True)
     p_mat.add_argument("--stretch", action="store_true",
-                       help="allow the 512-element ring M_3(F_2)")
+                       help="allow rings of 82 to 512 elements, e.g. M_2(F_4), M_3(F_2)")
     p_mat.set_defaults(func=cmd_matrix_alg)
 
     p_cfg = sub.add_parser("configs", parents=[common],

@@ -9,10 +9,10 @@ States are keyed by unital-ring isomorphism classes, and module_process
 builds the tree with engine.centralizer_tower, as branchgf.commuting does.
 
 Matrices are flat tuples of field elements (ints < q); fields carry
-precomputed arithmetic tables.  Desk scale is m <= 3 and q in {2, 3}; the
-512-element ring M_3(F_2) is a stretch configuration gated behind a flag.
-The brute-force oracle module_orbit_counts enumerates the same classes
-with branchgf.orbits.
+precomputed arithmetic tables.  Ambient rings of up to 81 elements run
+plainly; 82 to 512 elements (M_2(F_4), M_3(F_2)) need stretch=True, and
+larger ones raise SizeLimitError.  The brute-force oracle
+module_orbit_counts enumerates the same classes with branchgf.orbits.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .engine import BranchingProcess, build_branching, centralizer_tower, gf_total
 from .errors import ElementNotInAlgebraError, SizeLimitError
-from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, closure, least_image
+from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, closure, extend_map
+from .orbits import greedy_generators, least_image, orbit_partition
 from .polyring import RatFun
 
 __all__ = [
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 RING_SIZE_LIMIT = 512
-PLAIN_SIZE_LIMIT = 81  # larger ambient rings require stretch=True
+PLAIN_SIZE_LIMIT = 81  # larger ambient rings, up to RING_SIZE_LIMIT, need stretch=True
 
 Mat = tuple[int, ...]  # row-major flat m*m tuple of field elements
 
@@ -315,15 +316,23 @@ class MatRing:
 
     @cached_property
     def unit_conjugation_tables(self) -> tuple[tuple[int, ...], ...]:
-        """Per unit u, the index permutation a -> u a u^-1 over all elements."""
+        """Per unit u, the index permutation a -> u a u^-1 over all elements,
+        composed from the tables of a generating set: table_ug = table_u o table_g."""
         idx = self.element_index
-        tables = []
-        for u in self.units:
-            uinv = self.inv(u)
-            tables.append(
-                tuple(idx[self.mul(self.mul(u, a), uinv)] for a in self.elements)
-            )
-        return tuple(tables)
+        gens = greedy_generators(self.units, self.identity, self.mul, partial(_mult_order, self))
+        generator_pairs = [
+            (g, tuple(idx[self.mul(self.mul(g, a), ginv)] for a in self.elements))
+            for g, ginv in zip(gens, map(self.inv, gens))
+        ]
+
+        def compose(pair, gen):
+            (u, table_u), (g, table_g) = pair, gen
+            return self.mul(u, g), tuple(map(table_u.__getitem__, table_g))
+
+        tables = extend_map((self.identity, tuple(range(self.size))), generator_pairs, compose)
+        if tables is None or len(tables) != len(self.units):
+            raise ArithmeticError("the unit generators do not generate the unit group")
+        return tuple(tables[u] for u in self.units)
 
     def __repr__(self) -> str:
         return f"MatRing(F_{self.field.q}, m={self.m})"
@@ -408,41 +417,19 @@ def centralizer_ring(z: Subalgebra, a: Mat) -> Subalgebra:
     )
 
 
-def _unit_group_generators(z: Subalgebra) -> tuple[Mat, ...]:
-    # Greedy: highest multiplicative order first, then least elements not yet
-    # generated.  Keeps conjugation orbits cheap to walk.
-    ring = z.ring
-    units = z.units
-    if len(units) == 1:
-        return ()
-    gens = [max(units, key=lambda u: (_mult_order(ring, u), tuple(-c for c in u)))]
-    generated = closure(ring.identity, gens, ring.mul)
-    while len(generated) < len(units):
-        for u in units:
-            if u not in generated:
-                gens.append(u)
-                generated = closure(ring.identity, gens, ring.mul)
-                break
-    return tuple(gens)
-
-
 def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
     """Orbits of the unit group acting on z by conjugation: (least rep, size)."""
     ring = z.ring
-    gens = [(g, ring.inv(g)) for g in _unit_group_generators(z)]
+    # Highest multiplicative order first: keeps conjugation orbits cheap to walk.
+    units = greedy_generators(
+        z.units, ring.identity, ring.mul, lambda u: (_mult_order(ring, u), tuple(-c for c in u))
+    )
+    gens = [(g, ring.inv(g)) for g in units]
 
     def conjugate(x: Mat, gen: tuple[Mat, Mat]) -> Mat:
         return ring.mul(ring.mul(gen[0], x), gen[1])
 
-    remaining = set(z.elements)
-    classes = []
-    for a in z.sorted_elements:
-        if a not in remaining:
-            continue
-        orbit = closure(a, gens, conjugate)
-        remaining -= orbit
-        classes.append((min(orbit), len(orbit)))
-    return classes
+    return [(min(o), len(o)) for o in orbit_partition(z.sorted_elements, gens, conjugate)]
 
 
 # -- ring isomorphism keys ------------------------------------------------------
@@ -549,7 +536,11 @@ def _element_profile(z: Subalgebra, a: Mat) -> tuple:
 
 
 def ring_is_isomorphic(z1: Subalgebra, z2: Subalgebra) -> bool:
-    """Decide unital-ring isomorphism by backtracking over generator images."""
+    """Decide unital-ring isomorphism by trying images of a generating set.
+
+    Each generator of z1 (none for the prime ring) tries, in sorted order,
+    the elements of z2 with the same element profile.
+    """
     if z1.size != z2.size:
         return False
     if z1.ring is z2.ring and z1.elements == z2.elements:
@@ -557,48 +548,37 @@ def ring_is_isomorphic(z1: Subalgebra, z2: Subalgebra) -> bool:
     if ring_fingerprint(z1) != ring_fingerprint(z2):
         return False
     gens = _ring_generators(z1)
-    if not gens:
-        return True  # both are the prime ring
     profiles = [_element_profile(z1, g) for g in gens]
     candidates = [
-        [b for b in z2.sorted_elements if _element_profile(z2, b) == profile]
-        for profile in profiles
+        [b for b in z2.sorted_elements if _element_profile(z2, b) == p] for p in profiles
     ]
-    for images in itertools.product(*candidates):
-        if _extends_to_ring_isomorphism(z1, z2, gens, images):
-            return True
-    return False
+    return any(
+        _is_ring_isomorphism(z1, z2, gens, images) for images in itertools.product(*candidates)
+    )
 
 
-def _extends_to_ring_isomorphism(
+def _is_ring_isomorphism(
     z1: Subalgebra, z2: Subalgebra, gens: Sequence[Mat], images: Sequence[Mat]
 ) -> bool:
+    """Whether gens -> images extends to a ring isomorphism from z1 onto z2.
+
+    The map extends over the monoid of gens and 1, by right multiplication,
+    then over its additive span, z1.  Multiplicative on the monoid and
+    additive, it is a ring homomorphism, bijective with z2.size images.
+    """
     r1, r2 = z1.ring, z2.ring
-    mapping: dict[Mat, Mat] = {r1.zero: r2.zero, r1.identity: r2.identity}
-    for g, img in zip(gens, images):
-        if mapping.get(g, img) != img:
-            return False
-        mapping[g] = img
-    pending = list(mapping.keys())
-    while pending:
-        x = pending.pop()
-        fx = mapping[x]
-        for y in list(mapping.keys()):
-            fy = mapping[y]
-            for combined, image in (
-                (mat_add(r1.field, x, y), mat_add(r2.field, fx, fy)),
-                (r1.mul(x, y), r2.mul(fx, fy)),
-                (r1.mul(y, x), r2.mul(fy, fx)),
-            ):
-                known = mapping.get(combined)
-                if known is None:
-                    mapping[combined] = image
-                    pending.append(combined)
-                elif known != image:
-                    return False
-    if len(mapping) != z1.size:
+
+    def times(pair, gen):
+        return r1.mul(pair[0], gen[0]), r2.mul(pair[1], gen[1])
+
+    def plus(pair, gen):
+        return mat_add(r1.field, pair[0], gen[0]), mat_add(r2.field, pair[1], gen[1])
+
+    monoid = extend_map((r1.identity, r2.identity), list(zip(gens, images)), times)
+    if monoid is None:
         return False
-    return len(set(mapping.values())) == z2.size
+    span = extend_map((r1.zero, r2.zero), list(monoid.items()), plus)
+    return span is not None and len(set(span.values())) == z2.size
 
 
 class RingKeyRegistry:
@@ -638,12 +618,13 @@ class RingKeyRegistry:
 
 
 def _matrix_ring(q: int, m: int, stretch: bool) -> MatRing:
-    """M_m(F_q), refused above PLAIN_SIZE_LIMIT elements unless stretch is set."""
+    """M_m(F_q), up to PLAIN_SIZE_LIMIT elements, or RING_SIZE_LIMIT with stretch."""
     field = Fq(q)
     size = q ** (m * m)
-    if size > PLAIN_SIZE_LIMIT and not stretch:
+    if size > (RING_SIZE_LIMIT if stretch else PLAIN_SIZE_LIMIT):
         raise SizeLimitError(
-            f"M_{m}(F_{q}) has {size} elements; pass stretch=True above {PLAIN_SIZE_LIMIT}"
+            f"M_{m}(F_{q}) has {size} elements; rings of up to {PLAIN_SIZE_LIMIT} elements "
+            f"run plainly, up to {RING_SIZE_LIMIT} with --stretch (stretch=True), none larger"
         )
     return MatRing(field, m)
 

@@ -1,4 +1,4 @@
-"""Canonical-representative orbit enumeration and generator closure.
+"""Orbit enumeration, generator closure and map extension for any structure.
 
 Every brute-force oracle in the package counts the orbits of a group
 acting coordinatewise on n-tuples the same way: level n+1 is reached by
@@ -8,9 +8,11 @@ Because the action is coordinatewise, every level-(n+1) orbit contains
 such an extension of its prefix's representative.  The callers supply only
 the allowed extensions and the canonical form.
 
-This module deliberately imports nothing from the tree code (engine,
-registries, group or ring classes), so the oracles stay an independent
-check on it.
+The closure-based helpers serve the tree code for groups and rings alike
+(generating sets, conjugation orbits, and the generator-map extension of
+both isomorphism tests) and the oracles' conjugation tables.  This module
+still imports nothing from the tree code (engine, registries, group or
+ring classes), so the oracles stay an independent check on it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import OrderLimitError, WorkBudgetError
 
-__all__ = ["DEFAULT_WORK_BUDGET", "canonical_levels", "least_image", "closure"]
+__all__ = [
+    "DEFAULT_WORK_BUDGET", "canonical_levels", "least_image", "closure",
+    "greedy_generators", "orbit_partition", "extend_map",
+]
 
 DEFAULT_WORK_BUDGET = 10_000_000
 
@@ -96,3 +101,56 @@ def closure(
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+def greedy_generators(
+    elements: Sequence[T], identity: T, mul: Callable[[T, T], T], rank: Callable[[T], object]
+) -> tuple[T, ...]:
+    """Generators of the group of elements: the one of greatest rank, then in
+    one walk every element not generated so far (none for a trivial group)."""
+    gens: list[T] = []
+    generated = {identity}
+    for x in (max(elements, key=rank), *elements):
+        if x not in generated:
+            gens.append(x)
+            generated = closure(identity, gens, mul)
+    return tuple(gens)
+
+
+def orbit_partition(
+    elements: Sequence[T], generators: Sequence[G], act: Callable[[T, G], T]
+) -> list[frozenset[T]]:
+    """The orbits under the generators, by closure, in order of first member."""
+    remaining = set(elements)
+    orbits = []
+    for x in elements:
+        if x in remaining:
+            orbit = closure(x, generators, act)
+            remaining -= orbit
+            orbits.append(frozenset(orbit))
+    return orbits
+
+
+def extend_map(
+    start: tuple[T, object], generator_pairs: Sequence[tuple[G, object]], step: Callable
+) -> dict[T, object] | None:
+    """The map x -> f(x) reached from the pair start, breadth-first, or None.
+
+    step((x, f(x)), (g, h)) gives the next pair (y, f(y)), typically
+    (x*g, f(x)*h).  None comes back as soon as some y is reached with two
+    different images; a map that is returned respects every step.
+    """
+    mapping = {start[0]: start[1]}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for pair in frontier:
+            for gen in generator_pairs:
+                y, fy = step(pair, gen)
+                if y not in mapping:
+                    mapping[y] = fy
+                    nxt.append((y, fy))
+                elif mapping[y] != fy:
+                    return None
+        frontier = nxt
+    return mapping

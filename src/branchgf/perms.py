@@ -4,15 +4,17 @@ Groups are stored as full element lists (every group in scope has order at
 most a few hundred, where filtering beats stabilizer-chain machinery) and
 are immutable once built.  Products of permutations already known to be
 valid skip the validation that the public Perm constructor runs.
-Isomorphism testing screens with cheap invariants first (the derived
-subgroup among them, as the normal closure of the commutators of a
-generating set), then runs a backtracking search mapping a small
-generating set onto candidate images.  A KeyRegistry assigns stable
-per-run tags so that isomorphic groups share one hashable key, which is
-what the tree engine consumes.  It answers a group whose element set it
-has keyed before without any test; only a new element set whose
-fingerprint matches a known group reaches is_isomorphic and its order
-limit, so the tree of S6 runs although S6 itself is above that limit.
+Generating sets, conjugation orbits and map extension come from
+branchgf.orbits, shared with the ring code.  Isomorphism testing screens
+with cheap invariants first (the derived subgroup among them, as the
+normal closure of the commutators of a generating set), then extends
+candidate images of a small generating set over the Cayley graph.  A
+KeyRegistry assigns stable per-run tags so that isomorphic groups share
+one hashable key, which is what the tree engine consumes.  It answers a
+group whose element set it has keyed before without any test; only a new
+element set whose fingerprint matches a known group reaches is_isomorphic
+and its order limit, so the tree of S6 runs although S6 itself is above
+that limit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ElementNotInGroupError, OrderLimitError
-from .orbits import closure
+from .orbits import closure, extend_map, greedy_generators, orbit_partition
 
 __all__ = [
     "Perm",
@@ -255,18 +257,12 @@ class PermGroup:
     @cached_property
     def small_generating_set(self) -> tuple[Perm, ...]:
         """Greedy generating set: a maximal-order element, then least outsiders."""
-        if self.order == 1:
-            return ()
-        best = max(self.elements, key=lambda x: (x.order(), tuple(-i for i in x.images)))
-        gens = [best]
-        generated = closure(self.identity, gens, operator.mul)
-        while len(generated) < self.order:
-            for x in self.elements:
-                if x not in generated:
-                    gens.append(x)
-                    generated = closure(self.identity, gens, operator.mul)
-                    break
-        return tuple(gens)
+        return greedy_generators(
+            self.elements,
+            self.identity,
+            operator.mul,
+            rank=lambda x: (x.order(), tuple(-i for i in x.images)),
+        )
 
     # -- subgroup machinery ---------------------------------------------------
 
@@ -281,16 +277,8 @@ class PermGroup:
     @cached_property
     def _conjugation_orbits(self) -> tuple[frozenset[Perm], ...]:
         # Conjugating by a generating set reaches the whole orbit.
-        gens = self.small_generating_set or (self.identity,)
-        remaining = set(self.elements)
-        orbits = []
-        for x in self.elements:
-            if x not in remaining:
-                continue
-            orbit = closure(x, gens, lambda y, g: g.conjugate(y))
-            remaining -= orbit
-            orbits.append(frozenset(orbit))
-        return tuple(orbits)
+        gens = self.small_generating_set
+        return tuple(orbit_partition(self.elements, gens, lambda y, g: g.conjugate(y)))
 
     @cached_property
     def conjugacy_classes(self) -> tuple[ConjClass, ...]:
@@ -372,10 +360,12 @@ def is_isomorphic(g: PermGroup, h: PermGroup) -> bool:
     """Decide isomorphism of two groups of order <= ISO_ORDER_LIMIT (512).
 
     Screens by the invariant fingerprint, settles abelian pairs by their
-    element-order statistics, and otherwise maps a small generating set of
-    g onto candidate tuples in h by backtracking.  Larger groups raise
-    OrderLimitError, even equal ones; KeyRegistry.key_for calls this only
-    for a new element set whose fingerprint matches a known group.
+    element-order statistics, and otherwise tries images in h of a small
+    generating set of g with matching order and class size, the first one
+    a class representative.  A conflict-free extension over the Cayley
+    graph of g (orbits.extend_map) with h.order images is an isomorphism.
+    Larger groups raise OrderLimitError, even equal ones; KeyRegistry calls
+    this only for a new element set whose fingerprint matches a known group.
     """
     if g.order > ISO_ORDER_LIMIT or h.order > ISO_ORDER_LIMIT:
         raise OrderLimitError(f"isomorphism testing supports order <= {ISO_ORDER_LIMIT}")
@@ -391,50 +381,20 @@ def is_isomorphic(g: PermGroup, h: PermGroup) -> bool:
     gens = g.small_generating_set
     profiles = [(x.order(), g.class_size_of[x]) for x in gens]
     first_candidates = [
-        cls.rep
-        for cls in h.conjugacy_classes
-        if (cls.rep.order(), cls.size) == profiles[0]
+        c.rep for c in h.conjugacy_classes if (c.rep.order(), c.size) == profiles[0]
     ]
-    rest_candidates = [
-        [y for y in h.elements if (y.order(), h.class_size_of[y]) == profile]
+    # Later generators try their candidates from the last element down: the
+    # trees of S5, D8xC2, S5xC2, C2wrS2xS4 and S6 then try 340 tuples, not 397.
+    later_candidates = [
+        [y for y in reversed(h.elements) if (y.order(), h.class_size_of[y]) == profile]
         for profile in profiles[1:]
     ]
-    for first in first_candidates:
-        stack = [(first,)]
-        while stack:
-            assignment = stack.pop()
-            if len(assignment) == len(gens):
-                if _extends_to_isomorphism(g, h, gens, assignment):
-                    return True
-                continue
-            for y in rest_candidates[len(assignment) - 1]:
-                stack.append(assignment + (y,))
+    start = (g.identity, h.identity)
+    for imgs in itertools.product(first_candidates, *later_candidates):
+        mapping = extend_map(start, list(zip(gens, imgs)), lambda p, q: (p[0] * q[0], p[1] * q[1]))
+        if mapping is not None and len(set(mapping.values())) == h.order:
+            return True
     return False
-
-
-def _extends_to_isomorphism(
-    g: PermGroup, h: PermGroup, gens: Sequence[Perm], images: Sequence[Perm]
-) -> bool:
-    # Propagate the generator assignment along the Cayley graph of g; any
-    # conflict kills the candidate.  A conflict-free, surjective map is an
-    # isomorphism because multiplication was checked on every edge.
-    mapping = {g.identity: h.identity}
-    queue = [g.identity]
-    while queue:
-        x = queue.pop()
-        fx = mapping[x]
-        for gen, img in zip(gens, images):
-            y = x * gen
-            fy = fx * img
-            known = mapping.get(y)
-            if known is None:
-                mapping[y] = fy
-                queue.append(y)
-            elif known != fy:
-                return False
-    if len(mapping) != g.order:
-        return False  # gens failed to generate (cannot happen for our gens)
-    return len(set(mapping.values())) == h.order
 
 
 class GroupKey(NamedTuple):

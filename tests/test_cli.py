@@ -103,6 +103,15 @@ def test_stretch_gate_maps_to_limit_exit():
     assert status == EXIT_LIMIT
 
 
+def test_stretch_error_states_the_size_rule(capsys):
+    for argv in (["--q", "4", "--m", "2"], ["--q", "3", "--m", "3", "--stretch"]):
+        status, _ = run_cli(["matrix-alg", *argv])
+        assert status == EXIT_LIMIT
+        err = capsys.readouterr().err
+        assert "up to 81 elements run plainly, up to 512 with --stretch" in err
+        assert "stretch=True" in err
+
+
 def test_budget_exhaustion_maps_to_limit_exit():
     status, _ = run_cli(["verify", "--suite", "oracles", "--budget", "5"])
     assert status == EXIT_LIMIT
@@ -192,6 +201,9 @@ EXIT_CODE_CASES = [
     (["group", "--name", "S7"], EXIT_USAGE),
     (["verify", "--suite", "oracles", "--budget", "-1"], EXIT_USAGE),
     (["matrix-alg", "--q", "4", "--m", "2"], EXIT_LIMIT),
+    (["matrix-alg", "--q", "4", "--m", "2", "--stretch", "--terms", "3"], EXIT_OK),
+    (["matrix-alg", "--q", "3", "--m", "3"], EXIT_LIMIT),
+    (["matrix-alg", "--q", "3", "--m", "3", "--stretch"], EXIT_LIMIT),
     (["group", "--name", "S6xS6xS6"], EXIT_LIMIT),
     (["group", "--name", "D300"], EXIT_LIMIT),
     (["verify", "--suite", "oracles", "--budget", "0"], EXIT_LIMIT),

@@ -1,9 +1,12 @@
 """Finite fields, subalgebras, and module-count series."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
+from branchgf import matrixalg
 from branchgf.engine import build_branching, verify_tree
 from branchgf.errors import ElementNotInAlgebraError, SizeLimitError, WorkBudgetError
 from branchgf.fixtures import fixture_ratfun, module_gf_closed
@@ -22,6 +25,9 @@ from branchgf.matrixalg import (
     module_orbit_oracle,
     module_process,
     prime_power,
+    _element_profile,
+    _is_ring_isomorphism,
+    _ring_generators,
     _subring_closure,
     ring_fingerprint,
     ring_is_isomorphic,
@@ -273,3 +279,137 @@ def test_stretch_gate():
 def test_verify_tree_module_processes():
     assert verify_tree(module_process(2, 2), 6)
     assert verify_tree(module_process(3, 2), 6)
+
+
+def _reference_extends_to_ring_isomorphism(z1, z2, gens, images):
+    # The former quadratic check: close {0, 1, gens} under +, * and reversed *
+    # pair by pair, mapping every sum and product alongside.
+    r1, r2 = z1.ring, z2.ring
+    mapping = {r1.zero: r2.zero, r1.identity: r2.identity}
+    for g, img in zip(gens, images):
+        if mapping.get(g, img) != img:
+            return False
+        mapping[g] = img
+    pending = list(mapping.keys())
+    while pending:
+        x = pending.pop()
+        fx = mapping[x]
+        for y in list(mapping.keys()):
+            fy = mapping[y]
+            for combined, image in (
+                (mat_add(r1.field, x, y), mat_add(r2.field, fx, fy)),
+                (r1.mul(x, y), r2.mul(fx, fy)),
+                (r1.mul(y, x), r2.mul(fy, fx)),
+            ):
+                known = mapping.get(combined)
+                if known is None:
+                    mapping[combined] = image
+                    pending.append(combined)
+                elif known != image:
+                    return False
+    if len(mapping) != z1.size:
+        return False
+    return len(set(mapping.values())) == z2.size
+
+
+def _reached_subrings(q, conjugates, rng):
+    """M_2(F_q), every centralizer subring its tree reaches, and conjugates of each."""
+    ring = MatRing(Fq(q), 2)
+    seen = {}
+    todo = [Subalgebra.full(ring)]
+    while todo:
+        z = todo.pop()
+        if z.elements in seen:
+            continue
+        seen[z.elements] = z
+        todo += [centralizer_ring(z, rep) for rep, _ in unit_conjugacy_classes(z)]
+    corpus = list(seen.values())
+    for z in list(corpus):
+        for u in rng.sample(ring.units, conjugates):
+            uinv = ring.inv(u)
+            corpus.append(Subalgebra(ring, [ring.mul(ring.mul(u, a), uinv) for a in z.elements]))
+    return corpus
+
+
+def test_ring_extension_check_matches_reference():
+    rng = random.Random(6)
+    outcomes = Counter()
+    for q in (2, 3):
+        corpus = _reached_subrings(q, 1, rng)
+        for z1, z2 in itertools.product(corpus, repeat=2):
+            if z1.size != z2.size:
+                continue
+            gens = _ring_generators(z1)
+            profiles = [_element_profile(z1, g) for g in gens]
+            profiled = [
+                [b for b in z2.sorted_elements if _element_profile(z2, b) == p] for p in profiles
+            ]
+            tuples = list(itertools.product(*profiled))
+            tries = 3 if z1.size > 9 else 12
+            samples = rng.sample(tuples, min(tries, len(tuples)))
+            samples += [tuple(rng.choice(z2.sorted_elements) for _ in gens) for _ in range(tries)]
+            for images in samples:
+                expected = _reference_extends_to_ring_isomorphism(z1, z2, gens, images)
+                assert _is_ring_isomorphism(z1, z2, gens, images) == expected, (z1, z2, images)
+                outcomes[expected] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+
+def test_ring_iso_is_equivalence_on_corpus():
+    corpus = _reached_subrings(2, 2, random.Random(7)) + _reached_subrings(3, 1, random.Random(8))
+    relation = {
+        (i, j): ring_is_isomorphic(a, b)
+        for i, a in enumerate(corpus)
+        for j, b in enumerate(corpus)
+    }
+    for i in range(len(corpus)):
+        assert relation[i, i]
+        for j in range(len(corpus)):
+            assert relation[i, j] == relation[j, i]
+            for k in range(len(corpus)):
+                if relation[i, j] and relation[j, k]:
+                    assert relation[i, k]
+    # Per field: the full ring, F_{q^2}, F_q x F_q and F_q[e] with e^2 = 0.
+    indices = range(len(corpus))
+    classes = {frozenset(j for j in indices if relation[i, j]) for i in indices}
+    assert len(corpus) > 30 and len(classes) == 8
+
+
+def test_ring_iso_candidate_count(monkeypatch):
+    # Each generator tries its profiled candidates in sorted order; the four
+    # CLI rings then need 55 candidate tuples.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _is_ring_isomorphism(*args)
+
+    monkeypatch.setattr(matrixalg, "_is_ring_isomorphism", counting)
+    for q, m in [(2, 2), (3, 2), (4, 2), (2, 3)]:
+        build_branching(module_process(q, m, stretch=True))
+    assert 0 < len(calls) <= 55
+
+
+def _direct_conjugation_tables(ring):
+    # Every unit conjugates every element as matrices: u a u^-1.
+    idx = ring.element_index
+    return tuple(
+        tuple(idx[ring.mul(ring.mul(u, a), ring.inv(u))] for a in ring.elements)
+        for u in ring.units
+    )
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)])
+def test_unit_conjugation_tables_match_direct_construction(q, m):
+    ring = MatRing(Fq(q), m)
+    tables = ring.unit_conjugation_tables
+    assert len(tables) == len(ring.units)
+    assert set(tables) == set(_direct_conjugation_tables(ring))
+    assert tables == _direct_conjugation_tables(ring)
+
+
+def test_unit_conjugation_tables_need_generators_of_the_unit_group(monkeypatch):
+    # One element of order 3 generates only C3 inside GL_2(F_2) = S3.
+    monkeypatch.setattr(matrixalg, "greedy_generators", lambda *args: ((0, 1, 1, 1),))
+    with pytest.raises(ArithmeticError, match="do not generate"):
+        MatRing(Fq(2), 2).unit_conjugation_tables

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from branchgf import perms
+from branchgf.cli import parse_group_name
 from branchgf.commuting import commuting_process
 from branchgf.engine import build_branching
 from branchgf.errors import ElementNotInGroupError, OrderLimitError
+from branchgf.orbits import extend_map
 from branchgf.perms import (
     KeyRegistry,
     Perm,
@@ -328,3 +331,18 @@ def test_derived_subgroup_matches_brute_force():
     assert len(distinct) > 50
     for g in distinct.values():
         assert g.derived_subgroup_order == _brute_derived_order(g), g
+
+
+def test_iso_search_order_candidate_count(monkeypatch):
+    # is_isomorphic tries later generators' candidates from the last element
+    # down; these trees then need 340 candidate tuples (397 in ascending order).
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return extend_map(*args)
+
+    monkeypatch.setattr(perms, "extend_map", counting)
+    for name in ("S5", "D8xC2", "S5xC2", "C2wrS2xS4", "S6"):
+        build_branching(commuting_process(parse_group_name(name)))
+    assert 0 < len(calls) <= 340
