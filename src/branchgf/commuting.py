@@ -16,11 +16,10 @@ enumeration (branchgf.orbits).
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Iterator
 
 from .engine import BranchingProcess, build_branching, centralizer_tower, gf_total
-from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, least_image
+from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
 from .perms import KeyRegistry, PermGroup
 from .polyring import Poly, RatFun, ratfun_sum
 
@@ -144,7 +143,7 @@ def commuting_orbit_counts(
         # Element c centralizes a iff conjugation by c fixes a.
         return [c for c in range(group.order) if all(tables[c][a] == a for a in rep)]
 
-    levels = canonical_levels(n_max, centralizing, partial(least_image, tables), budget)
+    levels = canonical_levels(n_max, centralizing, canonical_form(tables), budget)
     return [len(reps) for reps in levels]
 
 

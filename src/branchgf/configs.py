@@ -18,12 +18,12 @@ t^i * prod_{r=0..i} 1/(1-q^r*t) in the vector case.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .engine import BranchingProcess
 from .matrixalg import Fq, echelon_basis
-from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, least_image
+from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
 from .polyring import ONE, Poly, RatFun, ratfun_sum
 
 __all__ = [
@@ -255,7 +255,7 @@ def _vector_rep_levels(
 ) -> Iterator[list[tuple[int, ...]]]:
     """Canonical orbit representatives (as vector-index tuples) per level."""
     tables = _gl_action_tables(q, m)
-    return canonical_levels(n_max, lambda rep: range(q**m), partial(least_image, tables), budget)
+    return canonical_levels(n_max, lambda rep: range(q**m), canonical_form(tables), budget)
 
 
 def vector_orbit_counts(

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .engine import BranchingProcess, build_branching, centralizer_tower, gf_total
 from .errors import ElementNotInAlgebraError, SizeLimitError
 from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, closure, extend_map
-from .orbits import greedy_generators, least_image, orbit_partition
+from .orbits import canonical_form, greedy_generators, orbit_partition
 from .polyring import RatFun
 
 __all__ = [
@@ -675,7 +675,7 @@ def module_orbit_counts(
         ]
 
     tables = ring.unit_conjugation_tables
-    levels = canonical_levels(n_max, commuting, partial(least_image, tables), budget)
+    levels = canonical_levels(n_max, commuting, canonical_form(tables), budget)
     return [len(reps) for reps in levels]
 
 

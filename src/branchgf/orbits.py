@@ -22,7 +22,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 from .errors import OrderLimitError, WorkBudgetError
 
 __all__ = [
-    "DEFAULT_WORK_BUDGET", "canonical_levels", "least_image", "closure",
+    "DEFAULT_WORK_BUDGET", "canonical_levels", "least_image", "canonical_form", "closure",
     "greedy_generators", "orbit_partition", "extend_map",
 ]
 
@@ -41,6 +41,25 @@ def least_image(tables: Sequence[Sequence[int]], candidate: Rep) -> Rep:
         if image < best:
             best = image
     return best
+
+
+def canonical_form(tables: Sequence[Sequence[int]]) -> Callable[[Rep], Rep]:
+    """The map candidate -> least_image(tables, candidate) for non-empty candidates.
+
+    A lexicographic minimum begins with the least image of candidate[0], so
+    only the tables that send candidate[0] there are tried; they are grouped
+    once per first entry, when that entry is first met.
+    """
+    by_first: dict[int, list[Sequence[int]]] = {}
+
+    def canonical(candidate: Rep) -> Rep:
+        first = candidate[0]
+        if first not in by_first:
+            low = min(table[first] for table in tables)
+            by_first[first] = [table for table in tables if table[first] == low]
+        return least_image(by_first[first], candidate)
+
+    return canonical
 
 
 def canonical_levels(

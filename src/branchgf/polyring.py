@@ -9,6 +9,11 @@ produced by the tree engine has denominator constant term exactly 1; the
 slightly weaker "positive" normalization is needed so that scalar
 multiples such as 1/(6*(1 - 6*t)) remain representable over the integers.
 
+The one gcd, poly_gcd, is GCDHEU (Char, Geddes & Gonnet 1989): one integer
+gcd of the two primitive parts evaluated at a large integer, read back as
+a polynomial and accepted only when it divides both, which makes it exact.
+When a few evaluation points all fail that test, the primitive PRS decides.
+
 The module also provides the resolvent computation: the first column of
 (I - B*t)^-1 for a non-negative integer matrix B, obtained by block forward
 substitution over the strongly connected components of B's class graph
@@ -218,9 +223,50 @@ def _pseudo_rem(a: Poly, b: Poly) -> Poly:
     return rem
 
 
+def _prs_gcd(x: Poly, y: Poly) -> Poly:
+    """Gcd of two primitive polynomials by the primitive PRS (up to sign)."""
+    while not y.is_zero:
+        x, y = y, _pseudo_rem(x, y).primitive_part()
+    return x
+
+
+# GCDHEU evaluation points tried before poly_gcd falls back to the PRS.
+_HEU_TRIES = 6
+
+
+def _heu_gcd(x: Poly, y: Poly) -> Poly | None:
+    """Gcd of two primitive polynomials of positive degree by GCDHEU (Char,
+    Geddes & Gonnet 1989), or None when no evaluation point succeeds.
+
+    The integer gcd of x(xi) and y(xi), xi >= 2*min(max norms) + 2, is read
+    back as symmetric xi-adic digits.  Its primitive part is the gcd if and
+    only if it divides x and y: the content of the digits is at most xi/2,
+    and every factor of positive degree of the smaller-norm side exceeds
+    xi/2 in absolute value at xi.  After a failed test xi grows.
+    """
+    xi = 2 * min(max(map(abs, x.coeffs)), max(map(abs, y.coeffs))) + 2
+    for _ in range(_HEU_TRIES):
+        h = math.gcd(x(xi), y(xi))
+        digits = []
+        while h:
+            h, d = divmod(h, xi)
+            if d > xi // 2:
+                d -= xi
+                h += 1
+            digits.append(d)
+        g = Poly(digits).primitive_part()
+        if _divides(g, x) and _divides(g, y):
+            return g
+        xi = xi * 73794 // 27011
+    return None
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd in Z[t] including the integer content.
 
+    The primitive parts go to GCDHEU (heuristic gcd by evaluation at one
+    large integer), whose answer is accepted only when it divides both; if
+    no evaluation point passes that test, the primitive PRS decides.
     The unit ambiguity is fixed by making the lowest-order nonzero
     coefficient positive, matching the denominator normalization used by
     RatFun.
@@ -236,10 +282,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if a.degree == 0 or b.degree == 0:
             return Poly([c])
         x, y = a.primitive_part(), b.primitive_part()
-        while not y.is_zero:
-            r = _pseudo_rem(x, y)
-            x, y = y, r.primitive_part()
-        g = x.scale(c)
+        g = (_heu_gcd(x, y) or _prs_gcd(x, y)).scale(c)
     low = next(cf for cf in g.coeffs if cf)
     return g if low > 0 else -g
 

@@ -173,6 +173,19 @@ def test_vector_gf_matches_engine():
             )
 
 
+@pytest.mark.parametrize(
+    "process, closed_form",
+    [
+        (lambda: point_config_process(80), lambda: point_config_gf(80)),
+        (lambda: vector_config_process(2, 24), lambda: vector_config_gf(2, 24)),
+    ],
+    ids=["point_m80", "vector_q2m24"],
+)
+def test_closed_forms_match_engine_past_brute_force(process, closed_form):
+    # The closed forms are sums of type gfs and never call the resolvent.
+    assert gf_total(build_branching(process())) == closed_form()
+
+
 def test_vector_class_gf_is_type_product():
     bm = build_branching(vector_config_process(2, 3))
     for i in range(4):

@@ -1,6 +1,7 @@
 """The shared orbit toolkit: independent of the tree code, and its helpers."""
 
 import ast
+import itertools
 import operator
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 
 from branchgf import orbits
 from branchgf.cli import parse_group_name
+from branchgf.configs import _gl_action_tables
+from branchgf.matrixalg import _matrix_ring
 from branchgf.perms import Perm, symmetric_group
 
 
@@ -96,3 +99,24 @@ def test_greedy_generators_pinned(name):
     assert [x.images for x in gens] == PINNED_GENERATORS[name]
     assert gens == group.small_generating_set
     assert len(orbits.closure(group.identity, gens, operator.mul)) == group.order
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        lambda: _matrix_ring(3, 2, False).unit_conjugation_tables,
+        lambda: symmetric_group(4).conjugation_tables,
+        lambda: _gl_action_tables(3, 2),
+    ],
+    ids=["module_M2F3", "commuting_S4", "vector_GL2F3"],
+)
+def test_canonical_form_agrees_with_least_image(tables):
+    # Every tuple of length 1 or 2, a superset of the oracles' candidates at
+    # levels <= 2; without the first table the list is no longer a group.
+    tables = tables()
+    points = range(len(tables[0]))
+    for subset in (tables, tables[1:]):
+        canonical = orbits.canonical_form(subset)
+        for length in (1, 2):
+            for candidate in itertools.product(points, repeat=length):
+                assert canonical(candidate) == orbits.least_image(subset, candidate)

@@ -1,5 +1,6 @@
 """Exact polynomial / rational-function arithmetic."""
 
+import math
 import operator
 import random
 from functools import reduce
@@ -11,7 +12,8 @@ from branchgf.errors import (
     NonUnitConstantTermError,
     ZeroDenominatorError,
 )
-from branchgf.configs import point_config_process
+from branchgf import polyring
+from branchgf.configs import point_config_process, vector_config_process
 from branchgf.engine import build_branching
 from branchgf.polyring import (
     ONE,
@@ -70,6 +72,104 @@ def test_poly_divexact_rejects_inexact():
 )
 def test_poly_gcd(a, b, g):
     assert poly_gcd(Poly(a), Poly(b)) == Poly(g)
+
+
+def _random_poly(rng, degree, digits):
+    bound = 10**digits
+    coeffs = [rng.randint(-bound, bound) for _ in range(degree)]
+    return Poly(coeffs + [rng.choice([-1, 1]) * rng.randint(1, bound)])
+
+
+def _gcd_cases():
+    """Seeded pairs in five shapes: f*g and f*h sharing a factor f, the same
+    with integer content on one or both sides, coprime pairs, f beside a multiple
+    f*g, and a constant beside f*g; either side may be negated or swapped."""
+    rng = random.Random(1989)
+    # Coprime, but at the first point, xi = 6, both values 8 and 40 are
+    # multiples of 8 = 6 + 2, whose digits read back as t + 2.
+    cases = [(Poly([2, 1]), Poly([4, 0, 1]))]
+    for i in range(150):
+        digits = (2, 40, 110)[i % 3]
+        f = _random_poly(rng, rng.randint(1, 4), digits)
+        g, h = (_random_poly(rng, rng.randint(0, 4), digits) for _ in range(2))
+        shape = i // 3 % 5
+        if shape == 0:
+            a, b = f * g, f * h
+        elif shape == 1:
+            k = rng.choice([6, 10**25 + 13])
+            a, b = (f * g).scale(k * rng.randint(1, 30)), (f * h).scale(rng.choice([1, k]))
+        elif shape == 2:
+            a, b = _random_poly(rng, rng.randint(1, 5), digits), g * h
+        elif shape == 3:
+            a, b = f, f * g
+        else:
+            a, b = Poly([rng.randint(1, 10**digits)]), f * g
+        a, b = (-a if rng.random() < 0.5 else a), (-b if rng.random() < 0.5 else b)
+        cases.append((a, b) if rng.random() < 0.5 else (b, a))
+    return cases
+
+
+def _prs_reference(a, b):
+    """poly_gcd's content split and sign normalisation around the PRS alone."""
+    c = math.gcd(a.content(), b.content())
+    if a.degree == 0 or b.degree == 0:
+        return Poly([c])
+    g = polyring._prs_gcd(a.primitive_part(), b.primitive_part()).scale(c)
+    return g if next(x for x in g.coeffs if x) > 0 else -g
+
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    original = getattr(polyring, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(polyring, name, counting)
+    return calls
+
+
+def test_gcd_cases_cover_every_shape():
+    cases = _gcd_cases()
+    polys = [p for pair in cases for p in pair]
+    assert max(abs(c) for p in polys for c in p.coeffs) > 10**100
+    assert sum(p.coeffs[-1] < 0 for p in polys) >= 20
+    assert sum(p.coeffs[0] < 0 for p in polys) >= 20
+    assert sum(min(a.degree, b.degree) == 0 for a, b in cases) >= 20
+    assert sum(math.gcd(a.content(), b.content()) > 10**25 for a, b in cases) >= 5
+    assert sum((a.content() == 1) != (b.content() == 1) for a, b in cases) >= 20
+    assert sum(_prs_reference(a, b) == ONE for a, b in cases) >= 20
+
+
+def test_heuristic_gcd_matches_prs(monkeypatch):
+    cases = _gcd_cases()
+    expected = [_prs_reference(a, b) for a, b in cases]
+    fallbacks = _count_calls(monkeypatch, "_prs_gcd")
+    for (a, b), g in zip(cases, expected):
+        assert poly_gcd(a, b) == g == poly_gcd(b, a), (a, b)
+    assert fallbacks[0] == 0
+
+
+def test_gcd_fallback_gives_the_same_gcds(monkeypatch):
+    cases = _gcd_cases()
+    expected = [_prs_reference(a, b) for a, b in cases]
+    monkeypatch.setattr(polyring, "_HEU_TRIES", 0)
+    fallbacks = _count_calls(monkeypatch, "_prs_gcd")
+    assert [poly_gcd(a, b) for a, b in cases] == expected
+    assert fallbacks[0] == sum(min(a.degree, b.degree) > 0 for a, b in cases)
+
+
+def test_chain_gcds_need_no_fallback(monkeypatch):
+    # The point and vector chains of the benchmark's chains workload.
+    matrices = [build_branching(process).matrix for process in (
+        point_config_process(16), point_config_process(24), point_config_process(32),
+        vector_config_process(2, 12), vector_config_process(3, 8))]
+    heuristic = _count_calls(monkeypatch, "_heu_gcd")
+    fallbacks = _count_calls(monkeypatch, "_prs_gcd")
+    for matrix in matrices:
+        ratfun_sum(resolvent_column(matrix))
+    assert heuristic[0] > 0 and fallbacks[0] == 0
 
 
 def test_normalize_common_content():
