@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .engine import BranchingProcess
-from .matrixalg import Fq, echelon_basis
+from .matrixalg import Fq, _encode, echelon_basis
 from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
 from .polyring import ONE, Poly, RatFun, ratfun_sum
 
@@ -221,13 +221,6 @@ def _vector_list(q: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(range(q), repeat=m))
 
 
-def _vector_index(vec: tuple[int, ...], q: int) -> int:
-    e = 0
-    for d in reversed(vec):
-        e = e * q + d
-    return e
-
-
 @lru_cache(maxsize=None)
 def _gl_action_tables(q: int, m: int) -> tuple[tuple[int, ...], ...]:
     """For each invertible m x m matrix, its permutation of vector indices."""
@@ -244,7 +237,7 @@ def _gl_action_tables(q: int, m: int) -> tuple[tuple[int, ...], ...]:
                 for j in range(m):
                     acc = field.add[acc][field.mul[rows[i][j]][v[j]]]
                 out.append(acc)
-            images.append(_vector_index(tuple(out), q))
+            images.append(_encode(out, q))
         if len(set(images)) == len(vectors):
             tables.append(tuple(images))
     return tuple(tables)

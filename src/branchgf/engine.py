@@ -12,13 +12,21 @@ Two independent evaluation paths are kept deliberately separate so they
 can cross-check each other: the rational-function path through the
 resolvent, and plain integer vector iteration of the child counts
 (bfs_level_counts / verify_tree).
+
+The group and module trees are both centralizer towers
+(centralizer_tower), and both key a node by the isomorphism class of its
+running centralizer through one IsoRegistry: fingerprint buckets,
+first-seen tags and a fast path for an element set seen before.  Each
+structure supplies only its same-set key, fingerprint, isomorphism test
+and label prefix, so a key prints as g120.0 for a group or r16.0 for a
+ring.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Mapping, NamedTuple
 
 from .errors import StateExplosionError
 from .polyring import Poly, RatFun, bareiss_det, poly_gcd, ratfun_sum, resolvent_column
@@ -26,6 +34,8 @@ from .polyring import Poly, RatFun, bareiss_det, poly_gcd, ratfun_sum, resolvent
 __all__ = [
     "BranchingProcess",
     "BranchingMatrix",
+    "IsoKey",
+    "IsoRegistry",
     "centralizer_tower",
     "build_branching",
     "gf_class",
@@ -67,6 +77,59 @@ class BranchingProcess:
 
     def label_for(self, key: ClassKey) -> str:
         return self.label(key) if self.label is not None else str(key)
+
+
+class IsoKey(NamedTuple):
+    """Hashable name for an isomorphism class, stable within one registry.
+
+    The fingerprint starts with the structure's size; str gives the label
+    prefix, that size and the first-seen tag, as in g120.0.
+    """
+
+    prefix: str
+    fingerprint: tuple
+    tag: int
+
+    def __str__(self) -> str:
+        return f"{self.prefix}{self.fingerprint[0]}.{self.tag}"
+
+
+class IsoRegistry:
+    """Assigns equal IsoKeys exactly to isomorphic structures, first-seen tags.
+
+    A structure whose same-set key was seen before gets its key back with
+    no fingerprint and no isomorphism test; otherwise the isomorphism test
+    runs only against the representatives that share its fingerprint.
+    representatives maps each key to the first structure that got it.  The
+    registry is mutable; confine one instance to one process build.
+    """
+
+    def __init__(self):
+        self._by_fingerprint: dict[tuple, list[IsoKey]] = {}
+        self._by_same_set: dict[Hashable, IsoKey] = {}
+        self.representatives: dict[IsoKey, object] = {}
+
+    def lookup(
+        self,
+        z,
+        same_set: Hashable,
+        fingerprint: Callable[[object], tuple],
+        is_isomorphic: Callable[[object, object], bool],
+        prefix: str,
+    ) -> IsoKey:
+        """Key of z, whose element set same_set names."""
+        key = self._by_same_set.get(same_set)
+        if key is not None:
+            return key
+        fp = fingerprint(z)
+        bucket = self._by_fingerprint.setdefault(fp, [])
+        key = next((k for k in bucket if is_isomorphic(self.representatives[k], z)), None)
+        if key is None:
+            key = IsoKey(prefix, fp, len(self.representatives))
+            bucket.append(key)
+            self.representatives[key] = z
+        self._by_same_set[same_set] = key
+        return key
 
 
 def centralizer_tower(

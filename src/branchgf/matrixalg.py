@@ -5,13 +5,15 @@ isomorphism classes of m-dimensional modules over a polynomial algebra in
 n variables - form a self-similar rooted tree exactly as commuting tuples
 in a group do, with the running centralizer subring in the role of the
 centralizer subgroup and unit-group conjugacy in the role of conjugacy.
-States are keyed by unital-ring isomorphism classes, and module_process
-builds the tree with engine.centralizer_tower, as branchgf.commuting does.
+States are keyed by unital-ring isomorphism classes through
+RingKeyRegistry, the engine's IsoRegistry with the ring fingerprint and
+isomorphism test, and module_process builds the tree with
+engine.centralizer_tower, as branchgf.commuting does.
 
 Matrices are flat tuples of field elements (ints < q); fields carry
-precomputed arithmetic tables.  Ambient rings of up to 81 elements run
-plainly; 82 to 512 elements (M_2(F_4), M_3(F_2)) need stretch=True, and
-larger ones raise SizeLimitError.  The brute-force oracle
+precomputed arithmetic tables.  Ambient rings M_m(F_q) of up to 512
+elements run (M_2(F_4) and M_3(F_2) among them); a larger one raises
+SizeLimitError before its field is built.  The brute-force oracle
 module_orbit_counts enumerates the same classes with branchgf.orbits.
 """
 
@@ -20,9 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property, partial
-from typing import Iterable, NamedTuple, Sequence
+from operator import getitem
+from typing import Iterable, Sequence
 
-from .engine import BranchingProcess, build_branching, centralizer_tower, gf_total
+from .engine import BranchingProcess, IsoKey, IsoRegistry, build_branching
+from .engine import centralizer_tower, gf_total
 from .errors import ElementNotInAlgebraError, SizeLimitError
 from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, closure, extend_map
 from .orbits import canonical_form, greedy_generators, orbit_partition
@@ -33,7 +37,6 @@ __all__ = [
     "prime_power",
     "MatRing",
     "Subalgebra",
-    "RingKey",
     "RingKeyRegistry",
     "centralizer_ring",
     "unit_conjugacy_classes",
@@ -44,7 +47,6 @@ __all__ = [
 ]
 
 RING_SIZE_LIMIT = 512
-PLAIN_SIZE_LIMIT = 81  # larger ambient rings, up to RING_SIZE_LIMIT, need stretch=True
 
 Mat = tuple[int, ...]  # row-major flat m*m tuple of field elements
 
@@ -52,11 +54,13 @@ Mat = tuple[int, ...]  # row-major flat m*m tuple of field elements
 class Fq:
     """Finite field of order q = p^k with full arithmetic tables.
 
-    Elements are the integers 0..q-1; for prime powers the base-p digits
-    of an element are the coefficients of a residue polynomial modulo the
-    lexicographically first irreducible polynomial of degree k.  Field
-    axioms are spot-checked exhaustively at construction (q <= 9 keeps
-    this instant).
+    Elements are the integers 0..q-1; the base-p digits of an element are
+    the coefficients of a residue polynomial modulo the first monic
+    polynomial of degree k, in lexicographic order of its coefficients
+    c_0, ..., c_{k-1}, whose residues form a field: every nonzero residue
+    has an inverse in its multiplication table.  For k = 1 that is t, and
+    the tables are those of the integers mod p.  Field axioms are checked
+    exhaustively at construction (q <= 9 keeps this instant).
     """
 
     def __init__(self, q: int):
@@ -64,34 +68,24 @@ class Fq:
         self.q = q
         self.p = p
         self.k = k
-        if k == 1:
-            add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            modulus = _first_irreducible(p, k)
-            add = [
-                [_encode(_poly_add(_digits(a, p, k), _digits(b, p, k), p), p) for b in range(q)]
-                for a in range(q)
-            ]
-            mul = [
-                [
-                    _encode(_poly_mulmod(_digits(a, p, k), _digits(b, p, k), modulus, p), p)
-                    for b in range(q)
-                ]
-                for a in range(q)
-            ]
-        self.add = tuple(tuple(row) for row in add)
-        self.mul = tuple(tuple(row) for row in mul)
-        self.neg = tuple(next(b for b in range(q) if self.add[a][b] == 0) for a in range(q))
-        inv = [0] * q
+        # Adding 1 steps the low digit mod p, so a + b = (a-1) + (1 + b) when
+        # a % p > 0; otherwise the digits of a // p and b // p add.
+        one = tuple(b - b % p + (b + 1) % p for b in range(q))
+        add = [tuple(range(q))]
         for a in range(1, q):
-            for b in range(1, q):
-                if self.mul[a][b] == 1:
-                    inv[a] = b
-                    break
+            if a % p:
+                add.append(tuple(map(add[a - 1].__getitem__, one)))
             else:
-                raise ArithmeticError(f"no inverse for {a} in F_{q}")
-        self.inv = tuple(inv)
+                high = add[a // p]
+                add.append(tuple(p * high[b // p] + b % p for b in range(q)))
+        self.add = tuple(add)
+        for coeffs in itertools.product(range(p), repeat=k):
+            mul = _mul_table(p, k, [*coeffs, 1], self.add)
+            if mul is not None:
+                break
+        self.mul = mul
+        self.neg = tuple(row.index(0) for row in self.add)
+        self.inv = (0, *(row.index(1) for row in self.mul[1:]))
         self._check_axioms()
 
     def _check_axioms(self) -> None:
@@ -145,68 +139,33 @@ def _encode(digits: Sequence[int], p: int) -> int:
     return e
 
 
-def _poly_add(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    return [(x + y) % p for x, y in zip(a, b)]
+def _mul_table(p: int, k: int, modulus: Sequence[int], add: tuple) -> tuple | None:
+    """Multiplication table of F_p[t] / (modulus), or None if that is no field.
 
-
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
-    k = len(modulus) - 1
-    prod = [0] * (2 * k - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] = (prod[i + j] + x * y) % p
-    for top in range(len(prod) - 1, k - 1, -1):
-        c = prod[top]
-        if c:
-            prod[top] = 0
-            for j in range(k):
-                prod[top - k + j] = (prod[top - k + j] - c * modulus[j]) % p
-    return prod[:k]
-
-
-def _first_irreducible(p: int, k: int) -> list[int]:
-    # Monic degree-k polynomial as coefficient list c_0..c_{k-1}, 1; first in
-    # lexicographic order of (c_0, ..., c_{k-1}) with no root in F_p (enough
-    # for k <= 3) and, for k >= 4, no factor of degree <= k//2.
-    for coeffs in itertools.product(range(p), repeat=k):
-        poly = list(coeffs) + [1]
-        if any(_poly_eval(poly, x, p) == 0 for x in range(p)):
-            continue
-        if k >= 4 and _has_small_factor(poly, p, k):
-            continue
-        return poly
-    raise ArithmeticError(f"no irreducible polynomial of degree {k} over F_{p}")
-
-
-def _poly_eval(poly: Sequence[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _has_small_factor(poly: Sequence[int], p: int, k: int) -> bool:
-    for d in range(2, k // 2 + 1):
-        for coeffs in itertools.product(range(p), repeat=d):
-            divisor = list(coeffs) + [1]
-            if _poly_divides(divisor, poly, p):
-                return True
-    return False
-
-
-def _poly_divides(d: Sequence[int], poly: Sequence[int], p: int) -> bool:
-    rem = list(poly)
-    dd = len(d) - 1
-    while len(rem) - 1 >= dd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        q = rem[-1]  # divisor is monic
-        shift = len(rem) - 1 - dd
-        for j in range(len(d)):
-            rem[shift + j] = (rem[shift + j] - q * d[j]) % p
-    return not any(rem)
+    Row a is built from earlier rows: (a-1)*b + b for a < p, (a/p) * (t*b)
+    for a divisible by p, and (a - a%p)*b + (a%p)*b otherwise.  None as soon
+    as a nonzero row has no 1, that is a residue without an inverse.
+    """
+    q = p**k
+    times_t = []
+    for b in range(q):
+        d = _digits(b, p, k)
+        # t * b, with t^k replaced by -(modulus - t^k)
+        times_t.append(_encode([(x - d[-1] * c) % p for x, c in zip([0, *d[:-1]], modulus)], p))
+    mul = [(0,) * q]
+    for a in range(1, q):
+        low = a % p
+        # Each row is formed by map over table lookups, which keeps the loop in C.
+        if a < p:
+            row = tuple(map(getitem, add, mul[a - 1]))  # add[b][(a-1)*b]
+        elif low == 0:
+            row = tuple(map(mul[a // p].__getitem__, times_t))
+        else:
+            row = tuple(map(getitem, map(add.__getitem__, mul[a - low]), mul[low]))
+        if 1 not in row:
+            return None
+        mul.append(row)
+    return tuple(mul)
 
 
 # -- matrices over Fq -----------------------------------------------------------
@@ -278,15 +237,20 @@ def echelon_basis(field: Fq, vectors: Iterable[Sequence[int]]) -> list:
     return basis
 
 
+def _check_ring_size(q: int, m: int) -> None:
+    # q**(m*m) >= 2**(m*m) passes the bound once m*m reaches its bit length,
+    # so the power is only formed while it is small.
+    if m * m >= RING_SIZE_LIMIT.bit_length() or q ** (m * m) > RING_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"M_{m}(F_{q}) has {q}^{m * m} elements; the supported bound is {RING_SIZE_LIMIT}"
+        )
+
+
 class MatRing:
     """The full matrix ring M_m(F_q) with indexed element enumeration."""
 
     def __init__(self, field: Fq, m: int):
-        if field.q ** (m * m) > RING_SIZE_LIMIT:
-            raise SizeLimitError(
-                f"M_{m}(F_{field.q}) has {field.q ** (m * m)} elements; "
-                f"the supported bound is {RING_SIZE_LIMIT}"
-            )
+        _check_ring_size(field.q, m)
         self.field = field
         self.m = m
         self.identity = mat_identity(m)
@@ -435,20 +399,6 @@ def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
 # -- ring isomorphism keys ------------------------------------------------------
 
 
-class RingKey(NamedTuple):
-    """Hashable name for a unital-ring isomorphism class (registry-scoped tag)."""
-
-    fingerprint: tuple
-    tag: int
-
-    @property
-    def size(self) -> int:
-        return self.fingerprint[0]
-
-    def __str__(self) -> str:
-        return f"r{self.size}.{self.tag}"
-
-
 def _additive_order(field: Fq, a: Mat) -> int:
     # Always the field characteristic for nonzero a, but computed honestly.
     n, x = 1, a
@@ -581,55 +531,24 @@ def _is_ring_isomorphism(
     return span is not None and len(set(span.values())) == z2.size
 
 
-class RingKeyRegistry:
-    """First-seen tags for ring isomorphism classes, plus a same-set fast path."""
+class RingKeyRegistry(IsoRegistry):
+    """The engine's IsoRegistry for subrings; keys print as r<size>.<tag>."""
 
-    def __init__(self):
-        self._by_fingerprint: dict[tuple, list[tuple[Subalgebra, int]]] = {}
-        self._by_elements: dict[frozenset, RingKey] = {}
-        self._next_tag = 0
-        self.representatives: dict[RingKey, Subalgebra] = {}
-
-    def key_for(self, z: Subalgebra) -> RingKey:
-        if z.size > RING_SIZE_LIMIT:
-            raise SizeLimitError(
-                f"ring keys support size <= {RING_SIZE_LIMIT}, got {z.size}"
-            )
-        cached = self._by_elements.get(z.elements)
-        if cached is not None:
-            return cached
-        fp = ring_fingerprint(z)
-        bucket = self._by_fingerprint.setdefault(fp, [])
-        for rep, tag in bucket:
-            if ring_is_isomorphic(rep, z):
-                key = RingKey(fp, tag)
-                self._by_elements[z.elements] = key
-                return key
-        tag = self._next_tag
-        self._next_tag += 1
-        bucket.append((z, tag))
-        key = RingKey(fp, tag)
-        self.representatives[key] = z
-        self._by_elements[z.elements] = key
-        return key
+    def key_for(self, z: Subalgebra) -> IsoKey:
+        """Key of z; a subring with an element set seen before skips all tests."""
+        return self.lookup(z, z.elements, ring_fingerprint, ring_is_isomorphic, "r")
 
 
 # -- the module-counting tree ----------------------------------------------------
 
 
-def _matrix_ring(q: int, m: int, stretch: bool) -> MatRing:
-    """M_m(F_q), up to PLAIN_SIZE_LIMIT elements, or RING_SIZE_LIMIT with stretch."""
-    field = Fq(q)
-    size = q ** (m * m)
-    if size > (RING_SIZE_LIMIT if stretch else PLAIN_SIZE_LIMIT):
-        raise SizeLimitError(
-            f"M_{m}(F_{q}) has {size} elements; rings of up to {PLAIN_SIZE_LIMIT} elements "
-            f"run plainly, up to {RING_SIZE_LIMIT} with --stretch (stretch=True), none larger"
-        )
-    return MatRing(field, m)
+def _matrix_ring(q: int, m: int) -> MatRing:
+    """M_m(F_q); its size is checked before the field F_q is built."""
+    _check_ring_size(q, m)
+    return MatRing(Fq(q), m)
 
 
-def module_process(q: int, m: int, stretch: bool = False) -> BranchingProcess:
+def module_process(q: int, m: int) -> BranchingProcess:
     """Branching process counting m-dimensional modules of n-variable polynomial algebras.
 
     Level-n classes are simultaneous-similarity classes of commuting
@@ -639,31 +558,27 @@ def module_process(q: int, m: int, stretch: bool = False) -> BranchingProcess:
     ring-isomorphism class of the centralizer in Z of a representative.
     """
     return centralizer_tower(
-        Subalgebra.full(_matrix_ring(q, m, stretch)),
+        Subalgebra.full(_matrix_ring(q, m)),
         RingKeyRegistry(),
         classes=lambda z: [rep for rep, _size in unit_conjugacy_classes(z)],
         centralizer=lambda z, rep: centralizer_ring(z, rep),
     )
 
 
-def module_gf(q: int, m: int, stretch: bool = False) -> RatFun:
+def module_gf(q: int, m: int) -> RatFun:
     """Generating function of m-dimensional module counts over F_q."""
-    return gf_total(build_branching(module_process(q, m, stretch)))
+    return gf_total(build_branching(module_process(q, m)))
 
 
 def module_orbit_counts(
-    q: int,
-    m: int,
-    n_max: int,
-    budget: int = DEFAULT_WORK_BUDGET,
-    stretch: bool = False,
+    q: int, m: int, n_max: int, budget: int = DEFAULT_WORK_BUDGET
 ) -> list[int]:
     """Brute-force counts of simultaneous-similarity classes of commuting tuples.
 
     Representatives are lexicographic minima over the full unit group, and
     a prefix is extended only by elements commuting with all its entries.
     """
-    ring = _matrix_ring(q, m, stretch)
+    ring = _matrix_ring(q, m)
     elements = ring.elements
 
     def commuting(rep: tuple[int, ...]) -> list[int]:
@@ -679,7 +594,5 @@ def module_orbit_counts(
     return [len(reps) for reps in levels]
 
 
-def module_orbit_oracle(
-    q: int, m: int, n: int, budget: int = DEFAULT_WORK_BUDGET, stretch: bool = False
-) -> int:
-    return module_orbit_counts(q, m, n, budget, stretch)[n]
+def module_orbit_oracle(q: int, m: int, n: int, budget: int = DEFAULT_WORK_BUDGET) -> int:
+    return module_orbit_counts(q, m, n, budget)[n]

@@ -8,13 +8,13 @@ Generating sets, conjugation orbits and map extension come from
 branchgf.orbits, shared with the ring code.  Isomorphism testing screens
 with cheap invariants first (the derived subgroup among them, as the
 normal closure of the commutators of a generating set), then extends
-candidate images of a small generating set over the Cayley graph.  A
-KeyRegistry assigns stable per-run tags so that isomorphic groups share
-one hashable key, which is what the tree engine consumes.  It answers a
-group whose element set it has keyed before without any test; only a new
-element set whose fingerprint matches a known group reaches is_isomorphic
-and its order limit, so the tree of S6 runs although S6 itself is above
-that limit.
+candidate images of a small generating set over the Cayley graph.
+KeyRegistry keys groups for the tree engine through engine.IsoRegistry,
+which the ring code shares: isomorphic groups get one hashable key with
+a stable per-run tag.  A group whose element set was keyed before is
+answered without any test; only a new element set whose fingerprint
+matches a known group reaches is_isomorphic and its order limit, so the
+tree of S6 runs although S6 itself is above that limit.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import re
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
+from .engine import IsoKey, IsoRegistry
 from .errors import ElementNotInGroupError, OrderLimitError
 from .orbits import closure, extend_map, greedy_generators, orbit_partition
 
@@ -33,7 +34,6 @@ __all__ = [
     "Perm",
     "PermGroup",
     "ConjClass",
-    "GroupKey",
     "KeyRegistry",
     "parse_cycles",
     "is_isomorphic",
@@ -397,53 +397,13 @@ def is_isomorphic(g: PermGroup, h: PermGroup) -> bool:
     return False
 
 
-class GroupKey(NamedTuple):
-    """Hashable name for a group-isomorphism class, stable within one registry."""
+class KeyRegistry(IsoRegistry):
+    """The engine's IsoRegistry for permutation groups; keys print as g<order>.<tag>."""
 
-    fingerprint: tuple
-    tag: int
-
-    @property
-    def order(self) -> int:
-        return self.fingerprint[0]
-
-    def __str__(self) -> str:
-        return f"g{self.order}.{self.tag}"
-
-
-class KeyRegistry:
-    """Assigns equal GroupKeys exactly to isomorphic groups, first-seen tags.
-
-    The registry is the single mutable structure in this module; confine
-    one instance to one coordinator (each branching process build creates
-    its own).
-    """
-
-    def __init__(self):
-        self._by_fingerprint: dict[tuple, list[tuple[PermGroup, int]]] = {}
-        self._by_elements: dict[tuple[int, frozenset[Perm]], GroupKey] = {}
-        self._next_tag = 0
-        self.representatives: dict[GroupKey, PermGroup] = {}
-
-    def key_for(self, group: PermGroup) -> GroupKey:
+    def key_for(self, group: PermGroup) -> IsoKey:
         """Key of group; a group with an element set seen before skips all tests."""
-        elements = (group.degree, group._element_set)
-        cached = self._by_elements.get(elements)
-        if cached is not None:
-            return cached
-        fp = group.fingerprint
-        bucket = self._by_fingerprint.setdefault(fp, [])
-        for rep, tag in bucket:
-            if is_isomorphic(rep, group):
-                key = GroupKey(fp, tag)
-                break
-        else:
-            key = GroupKey(fp, self._next_tag)
-            self._next_tag += 1
-            bucket.append((group, key.tag))
-            self.representatives[key] = group
-        self._by_elements[elements] = key
-        return key
+        same_set = (group.degree, group._element_set)
+        return self.lookup(group, same_set, operator.attrgetter("fingerprint"), is_isomorphic, "g")
 
 
 # -- named constructors -------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     NonIntegerCoefficientError,
@@ -303,7 +303,10 @@ def geometric_factors(p: Poly) -> tuple[int, list[tuple[int, int]], Poly]:
     """Best-effort factorization p = c * prod (1 - k*t)^e * rest.
 
     Returns (c, [(k, e), ...], rest) with the k ascending.  Used for display
-    only; rest is whatever does not split into such factors.
+    only; rest is whatever does not split into such factors.  The k are
+    tried in ascending |k|, k before -k, and only those dividing the
+    leading coefficient; (1 - k*t) divides p only if k is a root of the
+    reversed polynomial, so each search also stops at a bound on those roots.
     """
     if p.is_zero:
         return 0, [], ONE
@@ -313,28 +316,55 @@ def geometric_factors(p: Poly) -> tuple[int, list[tuple[int, int]], Poly]:
     rest = Poly([x // c for x in p.coeffs])
     found: dict[int, int] = {}
     while rest.degree >= 1:
-        lead = abs(rest.coeffs[-1])
-        hit = False
-        for k in sorted(_divisors_signed(lead), key=lambda v: (abs(v), v < 0)):
-            try:
-                nxt = rest.divexact(one_minus(k))
-            except ValueError:
-                continue
-            found[k] = found.get(k, 0) + 1
-            rest = nxt
-            hit = True
+        hit = _least_linear_factor(rest)
+        if hit is None:
             break
-        if not hit:
-            break
+        k, rest = hit
+        found[k] = found.get(k, 0) + 1
     return c, sorted(found.items()), rest
 
 
-def _divisors_signed(n: int) -> list[int]:
-    divs = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            divs.extend((d, -d, n // d, -(n // d)))
-    return divs
+def _least_linear_factor(p: Poly) -> tuple[int, Poly] | None:
+    """(k, p / (1 - k*t)) for the least |k| that divides, k before -k; else None.
+
+    k divides the leading coefficient, and a divisor above its isqrt is the
+    cofactor of one below it, so a scan costs min(isqrt(lead), bound) trial
+    divisions and stops at the first k found.
+    """
+    lead, bound = abs(p.coeffs[-1]), _reversed_root_bound(p.coeffs)
+
+    def candidates() -> Iterator[int]:
+        large = []
+        for d in range(1, min(math.isqrt(lead), bound) + 1):
+            if lead % d == 0:
+                yield d
+                if lead // d <= bound:
+                    large.append(lead // d)
+        yield from reversed(large)
+
+    for k in candidates():
+        for cand in (k, -k):
+            try:
+                return cand, p.divexact(one_minus(cand))
+            except ValueError:
+                pass
+    return None
+
+
+def _reversed_root_bound(coeffs: Sequence[int]) -> int:
+    """A bound on |k| over the nonzero roots k of the reversed polynomial.
+
+    Fujiwara's bound 2 * max_i |c_i / c_0|^(1/i), with c_0 the lowest
+    nonzero coefficient and each |c_i / c_0|^(1/i) rounded up to a power
+    of two.
+    """
+    low = next(i for i, x in enumerate(coeffs) if x)
+    c0 = abs(coeffs[low])
+    bound = 1
+    for i, x in enumerate(coeffs[low + 1 :], 1):
+        ratio = -(-abs(x) // c0)  # ceil(|c_i / c_0|) < 2**bit_length
+        bound = max(bound, 1 << -(-ratio.bit_length() // i))
+    return 2 * bound
 
 
 class RatFun:

@@ -100,21 +100,21 @@ def test_criterion_3_group_oracles():
 
 
 def test_criterion_4_matrix_algebra():
-    """Closed forms at m=1,2; the m=3 stretch series equals its oracle."""
+    """Closed forms at m=1,2; the m=3 series equals its oracle."""
     started = time.time()
     for q in (2, 3):
         assert module_gf(q, 1) == RatFun(Poly([1]), Poly([1, -q]))
         assert module_gf(q, 2) == RatFun(
             Poly([1]), Poly([1, -q]) * Poly([1, -(q**2)])
         )
-    stretch_gf = module_gf(2, 3, stretch=True)
-    series = stretch_gf.series(2)
-    counts = module_orbit_counts(2, 3, 2, stretch=True)
+    dim3_gf = module_gf(2, 3)
+    series = dim3_gf.series(2)
+    counts = module_orbit_counts(2, 3, 2)
     assert series == counts, f"dim-3 series {series} != oracle {counts}"
     supported = [
         name
         for name, fixture in module_gf_dim3_candidates(2).items()
-        if ratfun_eq(stretch_gf, fixture_ratfun(fixture))
+        if ratfun_eq(dim3_gf, fixture_ratfun(fixture))
     ]
     assert supported == ["unit-constant"], supported
     print(
@@ -161,7 +161,7 @@ def test_criterion_6_engine_self_consistency():
         "module(2,2)": module_process(2, 2),
         "module(3,1)": module_process(3, 1),
         "module(3,2)": module_process(3, 2),
-        "module(2,3)": module_process(2, 3, stretch=True),
+        "module(2,3)": module_process(2, 3),
         **{f"point(m={m})": point_config_process(m) for m in range(6)},
         **{
             f"vector(q={q},m={m})": vector_config_process(q, m)

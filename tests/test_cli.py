@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -99,17 +100,76 @@ def test_bad_subcommand_exits_2():
 
 
 def test_stretch_gate_maps_to_limit_exit():
-    status, _ = run_cli(["matrix-alg", "--q", "2", "--m", "3"])
+    status, _ = run_cli(["matrix-alg", "--q", "3", "--m", "3"])
     assert status == EXIT_LIMIT
 
 
 def test_stretch_error_states_the_size_rule(capsys):
-    for argv in (["--q", "4", "--m", "2"], ["--q", "3", "--m", "3", "--stretch"]):
+    for argv in (["--q", "3", "--m", "3"], ["--q", "3", "--m", "3", "--stretch"]):
         status, _ = run_cli(["matrix-alg", *argv])
         assert status == EXIT_LIMIT
         err = capsys.readouterr().err
-        assert "up to 81 elements run plainly, up to 512 with --stretch" in err
-        assert "stretch=True" in err
+        assert "M_3(F_3) has 3^9 elements; the supported bound is 512" in err
+        assert "stretch" not in err
+
+
+@pytest.mark.parametrize("q,m", [(4, 2), (2, 3)])
+def test_stretch_flag_is_accepted_and_changes_nothing(q, m):
+    # Rings of up to 512 elements always run; --stretch stays accepted.
+    for fmt in ("text", "records"):
+        argv = ["matrix-alg", "--q", str(q), "--m", str(m), "--terms", "4", "--format", fmt]
+        plain, flagged = run_cli(argv), run_cli([*argv, "--stretch"])
+        assert plain[0] == EXIT_OK
+        assert plain == flagged
+
+
+def test_stretch_is_left_out_of_the_help(capsys):
+    for command in ("matrix-alg", "verify"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "stretch" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,factors",
+    [
+        (["--kind", "point", "--m", "20"], [f"(1 - {k}*t)" for k in (2, 18, 20)]),
+        (["--kind", "vector", "--q", "2", "--m", "12"], ["(1 - t)", "(1 - 4096*t)"]),
+        (["--kind", "vector", "--q", "3", "--m", "12"], ["(1 - t)", "(1 - 531441*t)"]),
+    ],
+    ids=["point_m20", "vector_q2m12", "vector_q3m12"],
+)
+def test_large_configs_print_factored_denominators(argv, factors):
+    # The denominators' leading coefficients are 20!/19, 2^78 and 3^78;
+    # displaying them must not trial-divide up to their square roots.
+    status, text = run_cli(["configs", *argv])
+    assert status == EXIT_OK
+    den = text.splitlines()[0].split(")/(", 1)[1]
+    assert re.fullmatch(r"\(1 - (\d+\*)?t\)(\*\(1 - (\d+\*)?t\))*\)", den), den
+    for factor in factors:
+        assert factor in den
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (
+            ["expand", "--num", "1", "--den", "1,-1000000007", "--terms", "2"],
+            "(1/(1 - 1000000007*t)) = [1, 1000000007, 1000000014000000049] + O(t^3)",
+        ),
+        (
+            ["configs", "--kind", "vector", "--q", "1000000007", "--m", "1", "--terms", "2"],
+            "vectors[q=1000000007,m=1] = (1 - 1000000006*t)/((1 - t)*(1 - 1000000007*t))",
+        ),
+    ],
+    ids=["expand", "vector_q1000000007m1"],
+)
+def test_large_prime_root_is_factored(argv, line):
+    # The root 10^9+7 is the cofactor of the divisor 1 of the leading
+    # coefficient, so it is found after isqrt(10^9+7) trial divisions.
+    status, text = run_cli(argv)
+    assert status == EXIT_OK
+    assert text.splitlines()[0] == line
 
 
 def test_budget_exhaustion_maps_to_limit_exit():
@@ -152,6 +212,10 @@ def test_verify_oracles_passes_within_default_budget():
     status, text = run_cli(["verify", "--suite", "oracles"])
     assert status == EXIT_OK
     assert "all checks passed" in text
+    # The M_3(F_2) rows always run; --stretch is accepted and changes nothing.
+    assert "module oracle q=2 m=3 n<=2: ok" in text
+    assert "supports candidate(s): unit-constant" in text
+    assert run_cli(["verify", "--suite", "oracles", "--stretch"]) == (status, text)
 
 
 def test_verify_mismatch_exits_1_with_diff(monkeypatch):
@@ -200,10 +264,12 @@ EXIT_CODE_CASES = [
     (["group", "--name", "S3", "--terms", "-1"], EXIT_USAGE),
     (["group", "--name", "S7"], EXIT_USAGE),
     (["verify", "--suite", "oracles", "--budget", "-1"], EXIT_USAGE),
-    (["matrix-alg", "--q", "4", "--m", "2"], EXIT_LIMIT),
+    (["matrix-alg", "--q", "4", "--m", "2"], EXIT_OK),
     (["matrix-alg", "--q", "4", "--m", "2", "--stretch", "--terms", "3"], EXIT_OK),
     (["matrix-alg", "--q", "3", "--m", "3"], EXIT_LIMIT),
     (["matrix-alg", "--q", "3", "--m", "3", "--stretch"], EXIT_LIMIT),
+    (["matrix-alg", "--q", "1009", "--m", "1"], EXIT_LIMIT),
+    (["matrix-alg", "--q", "127", "--m", "2"], EXIT_LIMIT),
     (["group", "--name", "S6xS6xS6"], EXIT_LIMIT),
     (["group", "--name", "D300"], EXIT_LIMIT),
     (["verify", "--suite", "oracles", "--budget", "0"], EXIT_LIMIT),

@@ -9,6 +9,8 @@ import branchgf.engine
 from branchgf.engine import (
     BranchingMatrix,
     BranchingProcess,
+    IsoKey,
+    IsoRegistry,
     bfs_level_counts,
     build_branching,
     centralizer_tower,
@@ -20,6 +22,8 @@ from branchgf.engine import (
     verify_tree,
 )
 from branchgf.errors import StateExplosionError
+from branchgf.matrixalg import Fq, MatRing, RingKeyRegistry, Subalgebra
+from branchgf.perms import KeyRegistry, symmetric_group
 from branchgf.polyring import Poly, RatFun, one_minus, ratfun_sum, resolvent_column
 
 
@@ -180,6 +184,62 @@ def test_centralizer_tower_on_subset_lattice():
     assert bm.keys == (4, 3, 2, 1, 0)
     assert bfs_level_counts(process, 5).totals == (1, 4, 12, 24, 24, 0)
     assert verify_tree(process, 5)
+
+
+class _TranslateRegistry(IsoRegistry):
+    """Toy structures: finite sets of integers, isomorphic when translates.
+
+    The fingerprint (the size) is coarser than the classes, and every
+    fingerprint and isomorphism call is recorded.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.fingerprinted = []
+        self.compared = []
+
+    def fingerprint(self, z):
+        self.fingerprinted.append(z)
+        return (len(z),)
+
+    def is_translate(self, a, b):
+        self.compared.append((a, b))
+        return sorted(x - min(a) for x in a) == sorted(x - min(b) for x in b)
+
+    def key_for(self, z):
+        return self.lookup(z, frozenset(z), self.fingerprint, self.is_translate, "t")
+
+
+def test_iso_registry_on_translates():
+    reg = _TranslateRegistry()
+    first = reg.key_for({0, 1})
+    assert first == IsoKey("t", (2,), 0) and str(first) == "t2.0"
+    assert reg.compared == []  # an empty bucket needs no test
+    assert reg.key_for({5, 6}) == first
+    assert reg.compared == [({0, 1}, {5, 6})]
+    second = reg.key_for({0, 2})
+    assert second == IsoKey("t", (2,), 1)
+    third = reg.key_for({0, 1, 2})
+    assert third == IsoKey("t", (3,), 2)  # tags count across buckets, first seen first
+    assert len(reg.compared) == 2  # {0, 1, 2} met no size-2 representative
+    assert reg.key_for({7, 9}) == second
+    assert reg.compared[-2:] == [({0, 1}, {7, 9}), ({0, 2}, {7, 9})]
+    assert all(len(a) == len(b) for a, b in reg.compared)
+    # A repeated element set is answered without a fingerprint or a test.
+    calls = len(reg.fingerprinted), len(reg.compared)
+    assert [reg.key_for(z) for z in ({6, 5}, {9, 7}, {2, 1, 0})] == [first, second, third]
+    assert (len(reg.fingerprinted), len(reg.compared)) == calls
+    assert reg.representatives == {first: {0, 1}, second: {0, 2}, third: {0, 1, 2}}
+
+
+def test_group_and_ring_keys_share_one_type():
+    group_key = KeyRegistry().key_for(symmetric_group(5))
+    ring_key = RingKeyRegistry().key_for(Subalgebra.full(MatRing(Fq(2), 2)))
+    assert type(group_key) is type(ring_key) is IsoKey
+    assert (str(group_key), str(ring_key)) == ("g120.0", "r16.0")
+    for registry in (KeyRegistry, RingKeyRegistry):
+        assert issubclass(registry, IsoRegistry)
+        assert [name for name in vars(registry) if not name.startswith("__")] == ["key_for"]
 
 
 def test_engine_imports_no_instantiation():

@@ -48,6 +48,48 @@ def test_field_rejects_non_prime_power():
         Fq(6)
 
 
+# The moduli c_0, ..., c_{k-1}, 1 that Fq used while it chose the first
+# polynomial without roots (and, for k >= 4, without factors of degree <= k/2).
+FIELD_MODULI = {
+    4: (1, 1, 1),
+    8: (1, 0, 1, 1),
+    9: (1, 0, 1),
+    16: (1, 0, 0, 1, 1),
+    25: (1, 1, 1),
+    27: (1, 0, 2, 1),
+}
+
+
+def _residue_tables(q, modulus):
+    # Residues mod the monic modulus, numbered by their base-p digits c_0 + c_1 p + ...
+    p, k = prime_power(q)
+    digits = [[(e // p**i) % p for i in range(k)] for e in range(q)]
+
+    def number(coeffs):
+        return sum((c % p) * p**i for i, c in enumerate(coeffs))
+
+    def times(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for top in range(2 * k - 2, k - 1, -1):  # t^k = -(c_0 + ... + c_{k-1} t^{k-1})
+            lead, prod[top] = prod[top], 0
+            for j in range(k):
+                prod[top - k + j] -= lead * modulus[j]
+        return number(prod[:k])
+
+    add = tuple(tuple(number(map(sum, zip(a, b))) for b in digits) for a in digits)
+    mul = tuple(tuple(times(a, b) for b in digits) for a in digits)
+    return add, mul
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_MODULI))
+def test_field_tables_are_pinned(q):
+    field = Fq(q)
+    assert (field.add, field.mul) == _residue_tables(q, FIELD_MODULI[q])
+
+
 def test_prime_power_split():
     for q in range(-2, 130):
         splits = [
@@ -267,13 +309,25 @@ def test_module_oracle_budget():
         module_orbit_counts(2, 2, 2, budget=5)
 
 
-def test_stretch_gate():
-    with pytest.raises(SizeLimitError):
-        module_process(2, 3)
-    with pytest.raises(SizeLimitError):
-        module_orbit_counts(2, 3, 1)
+def test_stretch_gate(monkeypatch):
+    # One rule: M_m(F_q) runs up to 512 elements; larger rings are refused
+    # before their field is built.
+    assert MatRing(Fq(2), 3).size == 512
     with pytest.raises(SizeLimitError):
         MatRing(Fq(3), 3)
+
+    def no_field(q):
+        raise AssertionError(f"F_{q} built for a refused ring")
+
+    monkeypatch.setattr(matrixalg, "Fq", no_field)
+    with pytest.raises(SizeLimitError):
+        module_process(3, 3)
+    with pytest.raises(SizeLimitError):
+        module_orbit_counts(3, 3, 1)
+    with pytest.raises(SizeLimitError, match="1009"):
+        module_gf(1009, 1)
+    with pytest.raises(SizeLimitError, match=r"M_1000\(F_2\) has 2\^1000000 elements"):
+        module_gf(2, 1000)
 
 
 def test_verify_tree_module_processes():
@@ -386,7 +440,7 @@ def test_ring_iso_candidate_count(monkeypatch):
 
     monkeypatch.setattr(matrixalg, "_is_ring_isomorphism", counting)
     for q, m in [(2, 2), (3, 2), (4, 2), (2, 3)]:
-        build_branching(module_process(q, m, stretch=True))
+        build_branching(module_process(q, m))
     assert 0 < len(calls) <= 55
 
 

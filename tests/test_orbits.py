@@ -104,7 +104,7 @@ def test_greedy_generators_pinned(name):
 @pytest.mark.parametrize(
     "tables",
     [
-        lambda: _matrix_ring(3, 2, False).unit_conjugation_tables,
+        lambda: _matrix_ring(3, 2).unit_conjugation_tables,
         lambda: symmetric_group(4).conjugation_tables,
         lambda: _gl_action_tables(3, 2),
     ],

@@ -315,6 +315,16 @@ def test_geometric_factors():
     assert (c, factors, rest) == (1, [(2, 1), (3, 1), (6, 1)], ONE)
     c, factors, rest = geometric_factors(one_minus(2) * one_minus(2))
     assert factors == [(2, 2)]
+    # Negative k, a content, a factor t and a part that does not split.
+    quadratic = Poly([1, 1, 1])
+    p = poly_product([Poly([-3]), one_minus(-2), one_minus(-2), one_minus(5), Poly([0, 1]), quadratic])
+    assert geometric_factors(p) == (3, [(-2, 2), (5, 1)], Poly([0, -1]) * quadratic)
+    # A root above the square root of the leading coefficient, here a large
+    # prime, is found as the cofactor of a small divisor.
+    big = 1000000007
+    assert geometric_factors(one_minus(big)) == (1, [(big, 1)], ONE)
+    p = one_minus(-2) * one_minus(big) * one_minus(10007) * one_minus(10009)
+    assert geometric_factors(p) == (1, [(-2, 1), (10007, 1), (10009, 1), (big, 1)], ONE)
 
 
 def test_display_strings():
