@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .engine import BranchingProcess
-from .matrixalg import Fq, _encode, echelon_basis
+from .fields import Fq, _encode, echelon_basis
 from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
 from .polyring import ONE, Poly, RatFun, ratfun_sum
 

@@ -87,6 +87,17 @@ def module_gf_dim3_candidates(q: int) -> dict[str, GfFixture]:
     }
 
 
+def similarity_class_count(q: int, m: int) -> int:
+    """Similarity classes of M_m(F_q): the coefficient of x^m in
+    prod_{i >= 1} 1/(1 - q x^i), q^2 + q for m = 2 and q^3 + q^2 + q for
+    m = 3.  It is level 1 of the module-count tree for any q."""
+    coeffs = [1] + [0] * m
+    for i in range(1, m + 1):
+        for n in range(i, m + 1):
+            coeffs[n] += q * coeffs[n - i]
+    return coeffs[m]
+
+
 def fixture_ratfun(fixture: GfFixture) -> RatFun:
     num, factors = fixture
     return RatFun(Poly(num), poly_product(Poly(f) for f in factors))

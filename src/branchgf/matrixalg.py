@@ -1,4 +1,4 @@
-"""Finite fields, matrix algebras, and commuting-tuple similarity classes.
+"""Matrix algebras over finite fields and commuting-tuple similarity classes.
 
 Simultaneous-similarity classes of commuting n-tuples in M_m(F_q) - i.e.
 isomorphism classes of m-dimensional modules over a polynomial algebra in
@@ -10,24 +10,30 @@ RingKeyRegistry, the engine's IsoRegistry with the ring fingerprint and
 isomorphism test, and module_process builds the tree with
 engine.centralizer_tower, as branchgf.commuting does.
 
-Matrices are flat tuples of field elements (ints < q); fields carry
-precomputed arithmetic tables.  Ambient rings M_m(F_q) of up to 512
-elements run (M_2(F_4) and M_3(F_2) among them); a larger one raises
-SizeLimitError before its field is built.  The brute-force oracle
-module_orbit_counts enumerates the same classes with branchgf.orbits.
+Matrices are flat tuples of field elements (ints < q) over a
+branchgf.fields.Fq.  A subring is carried by its reduced row echelon
+F_q-basis, which names it: a centralizer is the null space of one linear
+map, the isomorphism test is linear algebra over F_p, and element sets
+are built only where unit-group orbits need them.  Ambient rings of up to
+RING_SIZE_LIMIT elements over fields of up to FIELD_SIZE_LIMIT elements
+run (M_3(F_3) and M_2(F_11) among them); others raise SizeLimitError
+before their field is built.  The brute-force oracle module_orbit_counts
+enumerates the same classes with branchgf.orbits, on rings of up to
+ORACLE_SIZE_LIMIT elements.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import cached_property, partial
-from operator import getitem
 from typing import Iterable, Sequence
 
 from .engine import BranchingProcess, IsoKey, IsoRegistry, build_branching
 from .engine import centralizer_tower, gf_total
 from .errors import ElementNotInAlgebraError, SizeLimitError
+from .fields import Fq, Span, _digits, prime_power
 from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, closure, extend_map
 from .orbits import canonical_form, greedy_generators, orbit_partition
 from .polyring import RatFun
@@ -46,126 +52,13 @@ __all__ = [
     "module_orbit_oracle",
 ]
 
-RING_SIZE_LIMIT = 512
+# The tree's ambient rings M_m(F_q); fields F_q on their own (q x q tables);
+# and the brute-force oracle, whose unit tables hold |units| x q^(m*m) entries.
+RING_SIZE_LIMIT = 20000
+FIELD_SIZE_LIMIT = 512
+ORACLE_SIZE_LIMIT = 512
 
 Mat = tuple[int, ...]  # row-major flat m*m tuple of field elements
-
-
-class Fq:
-    """Finite field of order q = p^k with full arithmetic tables.
-
-    Elements are the integers 0..q-1; the base-p digits of an element are
-    the coefficients of a residue polynomial modulo the first monic
-    polynomial of degree k, in lexicographic order of its coefficients
-    c_0, ..., c_{k-1}, whose residues form a field: every nonzero residue
-    has an inverse in its multiplication table.  For k = 1 that is t, and
-    the tables are those of the integers mod p.  Field axioms are checked
-    exhaustively at construction (q <= 9 keeps this instant).
-    """
-
-    def __init__(self, q: int):
-        p, k = prime_power(q)
-        self.q = q
-        self.p = p
-        self.k = k
-        # Adding 1 steps the low digit mod p, so a + b = (a-1) + (1 + b) when
-        # a % p > 0; otherwise the digits of a // p and b // p add.
-        one = tuple(b - b % p + (b + 1) % p for b in range(q))
-        add = [tuple(range(q))]
-        for a in range(1, q):
-            if a % p:
-                add.append(tuple(map(add[a - 1].__getitem__, one)))
-            else:
-                high = add[a // p]
-                add.append(tuple(p * high[b // p] + b % p for b in range(q)))
-        self.add = tuple(add)
-        for coeffs in itertools.product(range(p), repeat=k):
-            mul = _mul_table(p, k, [*coeffs, 1], self.add)
-            if mul is not None:
-                break
-        self.mul = mul
-        self.neg = tuple(row.index(0) for row in self.add)
-        self.inv = (0, *(row.index(1) for row in self.mul[1:]))
-        self._check_axioms()
-
-    def _check_axioms(self) -> None:
-        q, add, mul = self.q, self.add, self.mul
-        for a in range(q):
-            if add[a][0] != a or mul[a][1] != a or mul[a][0] != 0:
-                raise ArithmeticError("identity axiom failed")
-        for a in range(q):
-            for b in range(q):
-                if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
-                    raise ArithmeticError("commutativity failed")
-                for c in range(q):
-                    if add[add[a][b]][c] != add[a][add[b][c]]:
-                        raise ArithmeticError("additive associativity failed")
-                    if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                        raise ArithmeticError("multiplicative associativity failed")
-                    if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                        raise ArithmeticError("distributivity failed")
-
-    def __repr__(self) -> str:
-        return f"Fq({self.q})"
-
-
-def prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k for a prime p; ValueError when q is no prime power."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    # The least divisor above 1 is prime; q is a prime power iff it is p^k.
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    k, n = 0, q
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, k
-
-
-def _digits(e: int, p: int, k: int) -> list[int]:
-    out = []
-    for _ in range(k):
-        out.append(e % p)
-        e //= p
-    return out
-
-
-def _encode(digits: Sequence[int], p: int) -> int:
-    e = 0
-    for d in reversed(digits):
-        e = e * p + d
-    return e
-
-
-def _mul_table(p: int, k: int, modulus: Sequence[int], add: tuple) -> tuple | None:
-    """Multiplication table of F_p[t] / (modulus), or None if that is no field.
-
-    Row a is built from earlier rows: (a-1)*b + b for a < p, (a/p) * (t*b)
-    for a divisible by p, and (a - a%p)*b + (a%p)*b otherwise.  None as soon
-    as a nonzero row has no 1, that is a residue without an inverse.
-    """
-    q = p**k
-    times_t = []
-    for b in range(q):
-        d = _digits(b, p, k)
-        # t * b, with t^k replaced by -(modulus - t^k)
-        times_t.append(_encode([(x - d[-1] * c) % p for x, c in zip([0, *d[:-1]], modulus)], p))
-    mul = [(0,) * q]
-    for a in range(1, q):
-        low = a % p
-        # Each row is formed by map over table lookups, which keeps the loop in C.
-        if a < p:
-            row = tuple(map(getitem, add, mul[a - 1]))  # add[b][(a-1)*b]
-        elif low == 0:
-            row = tuple(map(mul[a // p].__getitem__, times_t))
-        else:
-            row = tuple(map(getitem, map(add.__getitem__, mul[a - low]), mul[low]))
-        if 1 not in row:
-            return None
-        mul.append(row)
-    return tuple(mul)
 
 
 # -- matrices over Fq -----------------------------------------------------------
@@ -216,41 +109,25 @@ def mat_inv(field: Fq, a: Mat, m: int) -> Mat | None:
     return tuple(aug[i][m + j] for i in range(m) for j in range(m))
 
 
-def echelon_basis(field: Fq, vectors: Iterable[Sequence[int]]) -> list:
-    """The vectors outside the span of those before them, by Gaussian elimination.
-
-    They form a basis of the span of all the vectors.
-    """
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    basis = []
-    echelon: list[tuple[list[int], int]] = []
-    for v in vectors:
-        vec = list(v)
-        for row, piv in echelon:
-            if vec[piv]:
-                factor = neg[mul[vec[piv]][inv[row[piv]]]]
-                vec = [add[x][mul[factor][y]] for x, y in zip(vec, row)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is not None:
-            basis.append(v)
-            echelon.append((vec, piv))
-    return basis
-
-
-def _check_ring_size(q: int, m: int) -> None:
+def _check_sizes(
+    q: int, m: int, limit: int = RING_SIZE_LIMIT, rule: str = "the supported bound"
+) -> None:
+    """Refuse F_q above FIELD_SIZE_LIMIT, or M_m(F_q) above limit elements."""
+    if q > FIELD_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"F_{q} has {q} elements; the supported field bound is {FIELD_SIZE_LIMIT}"
+        )
     # q**(m*m) >= 2**(m*m) passes the bound once m*m reaches its bit length,
     # so the power is only formed while it is small.
-    if m * m >= RING_SIZE_LIMIT.bit_length() or q ** (m * m) > RING_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"M_{m}(F_{q}) has {q}^{m * m} elements; the supported bound is {RING_SIZE_LIMIT}"
-        )
+    if m * m >= limit.bit_length() or q ** (m * m) > limit:
+        raise SizeLimitError(f"M_{m}(F_{q}) has {q}^{m * m} elements; {rule} is {limit}")
 
 
 class MatRing:
     """The full matrix ring M_m(F_q) with indexed element enumeration."""
 
     def __init__(self, field: Fq, m: int):
-        _check_ring_size(field.q, m)
+        _check_sizes(field.q, m)
         self.field = field
         self.m = m
         self.identity = mat_identity(m)
@@ -273,6 +150,13 @@ class MatRing:
 
     def inv(self, a: Mat) -> Mat | None:
         return mat_inv(self.field, a, self.m)
+
+    def fp_vector(self, a: Mat) -> tuple[int, ...]:
+        """a as a vector over the prime field: the base-p digits of its entries."""
+        field = self.field
+        if field.k == 1:
+            return a
+        return tuple(d for x in a for d in _digits(x, field.p, field.k))
 
     @cached_property
     def units(self) -> tuple[Mat, ...]:
@@ -303,7 +187,14 @@ class MatRing:
 
 
 class Subalgebra:
-    """Unital subring of a matrix ring, stored as an explicit element set."""
+    """Unital subring of a matrix ring, carried by its F_q-basis.
+
+    The basis is in reduced row echelon form, so it names the subring:
+    equal subrings have equal bases.  A subalgebra is made from its
+    element set, which must be closed (basis raises ValueError when it is
+    not closed under addition), or by spanned from a basis; the element set
+    is then built only when asked for (units, orbits, generators).
+    """
 
     def __init__(self, ring: MatRing, elements: Iterable[Mat]):
         self.ring = ring
@@ -312,29 +203,63 @@ class Subalgebra:
             raise ValueError("a unital subring must contain 0 and 1")
 
     @classmethod
+    def spanned(cls, ring: MatRing, basis: tuple[Mat, ...]) -> "Subalgebra":
+        """The subring whose reduced row echelon F_q-basis is basis."""
+        z = cls.__new__(cls)
+        z.ring = ring
+        z.basis = basis
+        return z
+
+    @classmethod
     def full(cls, ring: MatRing) -> "Subalgebra":
-        return cls(ring, ring.elements)
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def sorted_elements(self) -> tuple[Mat, ...]:
-        return tuple(sorted(self.elements))
+        n = ring.m * ring.m
+        return cls.spanned(ring, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @cached_property
     def basis(self) -> tuple[Mat, ...]:
-        """F_q-basis of the element set, which must be closed under addition.
-
-        The basis spans every element, so q**len(basis) == size holds
-        exactly when the set is the whole span.
-        """
-        q = self.ring.field.q
-        basis = tuple(echelon_basis(self.ring.field, self.sorted_elements))
-        if q ** len(basis) != self.size:
+        """Reduced row echelon F_q-basis of the element set, which must be
+        closed under addition: q**len(basis) == len(elements) holds exactly
+        when the set is the whole span."""
+        span = Span(self.ring.field)
+        for a in self.elements:
+            span.add(a)
+        if self.ring.field.q ** len(span) != len(self.elements):
             raise ValueError("element set is not closed under addition")
-        return basis
+        return span.basis
+
+    @cached_property
+    def elements(self) -> frozenset[Mat]:
+        return frozenset(self.sorted_elements)
+
+    @property
+    def size(self) -> int:
+        return self.ring.field.q ** len(self.basis)
+
+    @cached_property
+    def sorted_elements(self) -> tuple[Mat, ...]:
+        """Every F_q-combination of the basis, in increasing order.
+
+        A combination has its coefficient of the i-th basis row at that
+        row's pivot column, and before it only entries fixed by the earlier
+        coefficients; so the order of the combinations is the order of
+        their coefficient tuples.
+        """
+        field = self.ring.field
+        out = [self.ring.zero]
+        for b in reversed(self.basis):
+            multiples = [tuple(field.mul[c][x] for x in b) for c in range(1, field.q)]
+            out += [mat_add(field, cb, e) for cb in multiples for e in out]
+        return tuple(out)
+
+    @cached_property
+    def _span(self) -> Span:
+        span = Span(self.ring.field)
+        for b in self.basis:
+            span.add(b)
+        return span
+
+    def __contains__(self, a: Mat) -> bool:
+        return a in self._span
 
     @cached_property
     def units(self) -> tuple[Mat, ...]:
@@ -351,34 +276,61 @@ class Subalgebra:
         return tuple(out)
 
     @cached_property
-    def is_commutative(self) -> bool:
-        basis = self.basis
-        return all(
-            self.ring.mul(a, b) == self.ring.mul(b, a)
-            for a, b in itertools.combinations(basis, 2)
-        )
+    def unit_orders(self) -> dict[Mat, int]:
+        """Multiplicative order of every unit, in the order of units.
+
+        The powers of u up to its order o give all the orders of its cyclic
+        group at once: u^j has order o / gcd(j, o).
+        """
+        orders: dict[Mat, int] = {}
+        for u in self.units:
+            if u not in orders:
+                powers, x = [u], u
+                while x != self.ring.identity:
+                    x = self.ring.mul(x, u)
+                    powers.append(x)
+                for j, y in enumerate(powers, 1):
+                    orders.setdefault(y, len(powers) // math.gcd(j, len(powers)))
+        return {u: orders[u] for u in self.units}
 
     @cached_property
     def center_size(self) -> int:
-        basis = self.basis
-        return sum(
-            1
-            for a in self.elements
-            if all(self.ring.mul(a, b) == self.ring.mul(b, a) for b in basis)
+        """q**dim of the center, the null space of x -> (xb - bx for b in basis)."""
+        ring, basis = self.ring, self.basis
+        span = Span(ring.field)
+        rank = sum(
+            span.add([c for b in basis for c in _commutator(ring, a, b)]) for a in basis
         )
+        return ring.field.q ** (len(basis) - rank)
+
+    @property
+    def is_commutative(self) -> bool:
+        return self.center_size == self.size
 
     def __repr__(self) -> str:
         return f"Subalgebra(size={self.size} of {self.ring!r})"
 
 
+def _commutator(ring: MatRing, a: Mat, b: Mat) -> Mat:
+    add, neg = ring.field.add, ring.field.neg
+    return tuple(add[x][neg[y]] for x, y in zip(ring.mul(a, b), ring.mul(b, a)))
+
+
 def centralizer_ring(z: Subalgebra, a: Mat) -> Subalgebra:
-    """Subring of elements of z commuting with a."""
-    if a not in z.elements:
+    """Subring of elements of z commuting with a.
+
+    It is the null space of x -> ax - xa on z.basis: one elimination of the
+    rows (ab - ba | b), whose reduced rows that vanish in the first half
+    have the centralizer's reduced row echelon basis as their second half.
+    """
+    if a not in z:
         raise ElementNotInAlgebraError("element is not in the subalgebra")
     ring = z.ring
-    return Subalgebra(
-        ring, (b for b in z.elements if ring.mul(a, b) == ring.mul(b, a))
-    )
+    n = len(a)
+    span = Span(ring.field)
+    for b in z.basis:
+        span.add(_commutator(ring, a, b) + b)
+    return Subalgebra.spanned(ring, tuple(row[n:] for row in span.basis if not any(row[:n])))
 
 
 def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
@@ -386,7 +338,7 @@ def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
     ring = z.ring
     # Highest multiplicative order first: keeps conjugation orbits cheap to walk.
     units = greedy_generators(
-        z.units, ring.identity, ring.mul, lambda u: (_mult_order(ring, u), tuple(-c for c in u))
+        z.units, ring.identity, ring.mul, lambda u: (z.unit_orders[u], tuple(-c for c in u))
     )
     gens = [(g, ring.inv(g)) for g in units]
 
@@ -397,16 +349,6 @@ def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
 
 
 # -- ring isomorphism keys ------------------------------------------------------
-
-
-def _additive_order(field: Fq, a: Mat) -> int:
-    # Always the field characteristic for nonzero a, but computed honestly.
-    n, x = 1, a
-    zero = (0,) * len(a)
-    while x != zero:
-        x = tuple(field.add[u][v] for u, v in zip(x, a))
-        n += 1
-    return n
 
 
 def _mult_order(ring: MatRing, u: Mat) -> int:
@@ -428,57 +370,95 @@ def _nilpotency_index(ring: MatRing, a: Mat) -> int:
 
 
 def ring_fingerprint(z: Subalgebra) -> tuple:
-    """Cheap unital-ring isomorphism invariants."""
-    field = z.ring.field
-    unit_orders: dict[int, int] = {}
-    for u in z.units:
-        o = _mult_order(z.ring, u)
-        unit_orders[o] = unit_orders.get(o, 0) + 1
-    additive_exponent = max(_additive_order(field, a) for a in z.elements)
+    """Cheap unital-ring isomorphism invariants.
+
+    The additive exponent is the characteristic p for a nonzero ring.
+    """
     return (
         z.size,
         len(z.units),
         z.center_size,
-        additive_exponent,
-        tuple(sorted(unit_orders.items())),
+        z.ring.field.p if z.size > 1 else 1,
+        tuple(sorted(Counter(z.unit_orders.values()).items())),
         z.is_commutative,
     )
+
+
+def _word_basis(
+    sides: Sequence[tuple[MatRing, Sequence[Mat]]]
+) -> tuple[Span, list[tuple[Mat, ...]]] | None:
+    """Words in the generators, evaluated on every side at once, over F_p.
+
+    A word is a tuple with one matrix per side.  Starting from the
+    identities, each kept word is multiplied by every generator in turn
+    (the i-th generator of each side together), breadth-first, and each
+    product is reduced against the span of the concatenated F_p-vectors of
+    the words kept so far.  It is kept when the first side's part is
+    independent.  None comes back as soon as the first side's part is
+    dependent but the rest is not: the words then give one element of the
+    first side two values on another.  Otherwise the span and the kept
+    words come back; their first side's parts are an F_p-basis of the
+    subring that the first side's generators generate.
+    """
+    rings = [ring for ring, _ in sides]
+    gens = list(zip(*(g for _, g in sides)))
+    width = len(rings[0].fp_vector(rings[0].identity))
+    span = Span(rings[0].field)
+    words: list[tuple[Mat, ...]] = []
+
+    def visit(word: tuple[Mat, ...]) -> bool:
+        # Keep word if new on the first side; False on a conflict.
+        reduced = span.reduce([c for ring, x in zip(rings, word) for c in ring.fp_vector(x)])
+        lead = next((i for i, c in enumerate(reduced) if c), None)
+        if lead is not None:
+            if lead >= width:
+                return False
+            span.insert(reduced)
+            words.append(word)
+        return True
+
+    visit(tuple(ring.identity for ring in rings))
+    for word in words:  # grows while it is walked
+        for g in gens:
+            if not visit(tuple(ring.mul(x, h) for ring, x, h in zip(rings, word, g))):
+                return None
+    return span, words
+
+
+def _subring_closure(ring: MatRing, seed: Sequence[Mat]) -> Span:
+    """The subring that seed generates, as the span over F_p (not F_q) of
+    the F_p-vectors of the monoid of seed and 1."""
+    return _word_basis([(ring, seed)])[0]
 
 
 def _ring_generators(z: Subalgebra) -> tuple[Mat, ...]:
     # Smallest elements (by flat-tuple order) that grow the closed subring,
     # greedily by closure size.
-    closure = _subring_closure(z.ring, [])
+    ring = z.ring
+    dim = ring.field.k * len(z.basis)  # over F_p
     gens: list[Mat] = []
-    while len(closure) < z.size:
+    closure = _subring_closure(ring, gens)
+    while len(closure) < dim:
         best = None
         best_closure = None
         for a in z.sorted_elements:
-            if a in closure:
+            if ring.fp_vector(a) in closure:
                 continue
-            trial = _subring_closure(z.ring, gens + [a])
+            trial = _subring_closure(ring, gens + [a])
             if best_closure is None or len(trial) > len(best_closure):
                 best, best_closure = a, trial
-                if len(trial) == z.size:
+                if len(trial) == dim:
                     break
         gens.append(best)
         closure = best_closure
     return tuple(gens)
 
 
-def _subring_closure(ring: MatRing, seed: Sequence[Mat]) -> set[Mat]:
-    # The subring generated by seed is the additive (F_p, not F_q) span of
-    # the multiplicative monoid that seed and 1 generate.
-    monoid = closure(ring.identity, seed, ring.mul)
-    return closure(ring.zero, list(monoid), partial(mat_add, ring.field))
-
-
 def _element_profile(z: Subalgebra, a: Mat) -> tuple:
     ring = z.ring
-    is_unit = ring.inv(a) is not None
     return (
-        _additive_order(ring.field, a),
-        _mult_order(ring, a) if is_unit else 0,
+        ring.field.p if any(a) else 1,
+        z.unit_orders.get(a, 0),
         _nilpotency_index(ring, a),
         ring.mul(a, a) == a,
         all(ring.mul(a, b) == ring.mul(b, a) for b in z.basis),
@@ -493,14 +473,15 @@ def ring_is_isomorphic(z1: Subalgebra, z2: Subalgebra) -> bool:
     """
     if z1.size != z2.size:
         return False
-    if z1.ring is z2.ring and z1.elements == z2.elements:
+    if z1.ring is z2.ring and z1.basis == z2.basis:
         return True
     if ring_fingerprint(z1) != ring_fingerprint(z2):
         return False
     gens = _ring_generators(z1)
-    profiles = [_element_profile(z1, g) for g in gens]
+    profiles = [_element_profile(z2, b) for b in z2.sorted_elements]
     candidates = [
-        [b for b in z2.sorted_elements if _element_profile(z2, b) == p] for p in profiles
+        [b for b, profile in zip(z2.sorted_elements, profiles) if profile == wanted]
+        for wanted in (_element_profile(z1, g) for g in gens)
     ]
     return any(
         _is_ring_isomorphism(z1, z2, gens, images) for images in itertools.product(*candidates)
@@ -512,39 +493,39 @@ def _is_ring_isomorphism(
 ) -> bool:
     """Whether gens -> images extends to a ring isomorphism from z1 onto z2.
 
-    The map extends over the monoid of gens and 1, by right multiplication,
-    then over its additive span, z1.  Multiplicative on the monoid and
-    additive, it is a ring homomorphism, bijective with z2.size images.
+    The words in gens that _word_basis keeps are an F_p-basis of z1; f maps
+    each to the same word in images, F_p-linearly.  With no conflict every
+    product w*g of a basis word and a generator maps to f(w)*f(g), so by
+    linearity and induction on words f is a unital ring homomorphism; it
+    is onto z2 when the images are F_p-independent and as many as z2's
+    F_p-dimension.  An isomorphism extending gens -> images sends every
+    word to the same word in images, so it passes both tests.
     """
-    r1, r2 = z1.ring, z2.ring
-
-    def times(pair, gen):
-        return r1.mul(pair[0], gen[0]), r2.mul(pair[1], gen[1])
-
-    def plus(pair, gen):
-        return mat_add(r1.field, pair[0], gen[0]), mat_add(r2.field, pair[1], gen[1])
-
-    monoid = extend_map((r1.identity, r2.identity), list(zip(gens, images)), times)
-    if monoid is None:
+    found = _word_basis([(z1.ring, gens), (z2.ring, images)])
+    if found is None:
         return False
-    span = extend_map((r1.zero, r2.zero), list(monoid.items()), plus)
-    return span is not None and len(set(span.values())) == z2.size
+    _span, words = found
+    r2 = z2.ring
+    images_span = Span(r2.field)
+    return len(words) == r2.field.k * len(z2.basis) and all(
+        images_span.add(r2.fp_vector(image)) for _, image in words
+    )
 
 
 class RingKeyRegistry(IsoRegistry):
     """The engine's IsoRegistry for subrings; keys print as r<size>.<tag>."""
 
     def key_for(self, z: Subalgebra) -> IsoKey:
-        """Key of z; a subring with an element set seen before skips all tests."""
-        return self.lookup(z, z.elements, ring_fingerprint, ring_is_isomorphic, "r")
+        """Key of z; a subring with a basis seen before skips all tests."""
+        return self.lookup(z, z.basis, ring_fingerprint, ring_is_isomorphic, "r")
 
 
 # -- the module-counting tree ----------------------------------------------------
 
 
 def _matrix_ring(q: int, m: int) -> MatRing:
-    """M_m(F_q); its size is checked before the field F_q is built."""
-    _check_ring_size(q, m)
+    """M_m(F_q); its sizes are checked before the field F_q is built."""
+    _check_sizes(q, m)
     return MatRing(Fq(q), m)
 
 
@@ -577,7 +558,10 @@ def module_orbit_counts(
 
     Representatives are lexicographic minima over the full unit group, and
     a prefix is extended only by elements commuting with all its entries.
+    Rings above ORACLE_SIZE_LIMIT elements are refused before anything is
+    built.
     """
+    _check_sizes(q, m, ORACLE_SIZE_LIMIT, "the brute-force oracle's bound")
     ring = _matrix_ring(q, m)
     elements = ring.elements
 

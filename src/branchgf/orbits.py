@@ -46,18 +46,32 @@ def least_image(tables: Sequence[Sequence[int]], candidate: Rep) -> Rep:
 def canonical_form(tables: Sequence[Sequence[int]]) -> Callable[[Rep], Rep]:
     """The map candidate -> least_image(tables, candidate) for non-empty candidates.
 
-    A lexicographic minimum begins with the least image of candidate[0], so
-    only the tables that send candidate[0] there are tried; they are grouped
-    once per first entry, when that entry is first met.
+    A lexicographic minimum of prefix + (b,) begins with the least image of
+    the prefix, and only the tables that send the prefix there (with the
+    identity, which least_image also counts) can give its last entry.  Each
+    prefix met is memoised with that image, those tables, and low, the least
+    image of every point under them; a prefix's entry comes from its
+    parent's.  The canonical form of prefix + (b,) is image + (low[b],).
     """
-    by_first: dict[int, list[Sequence[int]]] = {}
+    identity = range(len(tables[0]))
+    entries: dict[Rep, tuple[Rep, list[Sequence[int]], list[int]]] = {}
+
+    def entry(prefix: Rep) -> tuple[Rep, list[Sequence[int]], list[int]]:
+        found = entries.get(prefix)
+        if found is None:
+            if prefix:
+                image, attaining, low = entry(prefix[:-1])
+                b = prefix[-1]
+                image = image + (low[b],)
+                attaining = [table for table in attaining if table[b] == low[b]]
+            else:
+                image, attaining = (), [identity, *tables]
+            found = entries[prefix] = (image, attaining, list(map(min, zip(*attaining))))
+        return found
 
     def canonical(candidate: Rep) -> Rep:
-        first = candidate[0]
-        if first not in by_first:
-            low = min(table[first] for table in tables)
-            by_first[first] = [table for table in tables if table[first] == low]
-        return least_image(by_first[first], candidate)
+        image, _attaining, low = entry(candidate[:-1])
+        return image + (low[candidate[-1]],)
 
     return canonical
 

@@ -100,17 +100,23 @@ def test_bad_subcommand_exits_2():
 
 
 def test_stretch_gate_maps_to_limit_exit():
-    status, _ = run_cli(["matrix-alg", "--q", "3", "--m", "3"])
+    status, _ = run_cli(["matrix-alg", "--q", "4", "--m", "3"])
     assert status == EXIT_LIMIT
 
 
 def test_stretch_error_states_the_size_rule(capsys):
-    for argv in (["--q", "3", "--m", "3"], ["--q", "3", "--m", "3", "--stretch"]):
-        status, _ = run_cli(["matrix-alg", *argv])
-        assert status == EXIT_LIMIT
-        err = capsys.readouterr().err
-        assert "M_3(F_3) has 3^9 elements; the supported bound is 512" in err
-        assert "stretch" not in err
+    rules = {
+        ("--q", "4", "--m", "3"): "M_3(F_4) has 4^9 elements; the supported bound is 20000",
+        ("--q", "13", "--m", "2"): "M_2(F_13) has 13^4 elements; the supported bound is 20000",
+        ("--q", "521", "--m", "1"): "F_521 has 521 elements; the supported field bound is 512",
+    }
+    for argv, rule in rules.items():
+        for flags in ((), ("--stretch",)):
+            status, _ = run_cli(["matrix-alg", *argv, *flags])
+            assert status == EXIT_LIMIT
+            err = capsys.readouterr().err
+            assert rule in err
+            assert "stretch" not in err
 
 
 @pytest.mark.parametrize("q,m", [(4, 2), (2, 3)])
@@ -266,8 +272,8 @@ EXIT_CODE_CASES = [
     (["verify", "--suite", "oracles", "--budget", "-1"], EXIT_USAGE),
     (["matrix-alg", "--q", "4", "--m", "2"], EXIT_OK),
     (["matrix-alg", "--q", "4", "--m", "2", "--stretch", "--terms", "3"], EXIT_OK),
-    (["matrix-alg", "--q", "3", "--m", "3"], EXIT_LIMIT),
-    (["matrix-alg", "--q", "3", "--m", "3", "--stretch"], EXIT_LIMIT),
+    (["matrix-alg", "--q", "3", "--m", "3"], EXIT_OK),
+    (["matrix-alg", "--q", "3", "--m", "3", "--stretch"], EXIT_OK),
     (["matrix-alg", "--q", "1009", "--m", "1"], EXIT_LIMIT),
     (["matrix-alg", "--q", "127", "--m", "2"], EXIT_LIMIT),
     (["group", "--name", "S6xS6xS6"], EXIT_LIMIT),

@@ -6,10 +6,15 @@ from collections import Counter
 
 import pytest
 
-from branchgf import matrixalg
+from branchgf import fields, matrixalg
 from branchgf.engine import build_branching, verify_tree
 from branchgf.errors import ElementNotInAlgebraError, SizeLimitError, WorkBudgetError
-from branchgf.fixtures import fixture_ratfun, module_gf_closed
+from branchgf.fixtures import (
+    fixture_ratfun,
+    module_gf_closed,
+    module_gf_dim3_candidates,
+    similarity_class_count,
+)
 from branchgf.matrixalg import (
     Fq,
     MatRing,
@@ -88,6 +93,40 @@ def _residue_tables(q, modulus):
 def test_field_tables_are_pinned(q):
     field = Fq(q)
     assert (field.add, field.mul) == _residue_tables(q, FIELD_MODULI[q])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_field_check_catches_every_flipped_entry(q):
+    # Changing any one entry of either table to any other value makes the
+    # check against schoolbook arithmetic raise.
+    field = Fq(q)
+    for name in ("add", "mul"):
+        table = getattr(field, name)
+        for a, b in itertools.product(range(q), repeat=2):
+            for wrong in set(range(q)) - {table[a][b]}:
+                row = list(table[a])
+                row[b] = wrong
+                setattr(field, name, (*table[:a], tuple(row), *table[a + 1 :]))
+                with pytest.raises(ArithmeticError):
+                    field._check_axioms()
+        setattr(field, name, table)
+    field._check_axioms()
+
+
+def test_field_construction_refuses_a_wrong_table(monkeypatch):
+    real = fields._mul_table
+
+    def flipped(*args):
+        table = real(*args)
+        if table is None:
+            return None
+        rows = list(table)
+        rows[2] = (*rows[2][:3], rows[3][3], *rows[2][4:])
+        return tuple(rows)
+
+    monkeypatch.setattr(fields, "_mul_table", flipped)
+    with pytest.raises(ArithmeticError):
+        Fq(8)
 
 
 def test_prime_power_split():
@@ -184,16 +223,25 @@ def _brute_subring(ring, seed):
         known = grown
 
 
+def _closure_elements(ring, seed):
+    # The ring elements in the F_p-span _subring_closure returns; its
+    # dimension must count them.
+    span = _subring_closure(ring, seed)
+    members = {x for x in ring.elements if ring.fp_vector(x) in span}
+    assert len(members) == ring.field.p ** len(span)
+    return members
+
+
 def test_subring_closure_matches_brute_force():
     m2f2 = MatRing(Fq(2), 2)
     for seed in itertools.combinations_with_replacement(m2f2.elements, 2):
-        assert _subring_closure(m2f2, seed) == _brute_subring(m2f2, seed), seed
+        assert _closure_elements(m2f2, seed) == _brute_subring(m2f2, seed), seed
     m2f4 = MatRing(Fq(4), 2)
     for a in m2f4.elements[::5]:
-        assert _subring_closure(m2f4, [a]) == _brute_subring(m2f4, [a]), a
+        assert _closure_elements(m2f4, [a]) == _brute_subring(m2f4, [a]), a
     # The span is additive, over F_2: the idempotent E11 generates
     # {0, 1, E11, 1 + E11}, not the 16-element F_4-span.
-    assert len(_subring_closure(m2f4, [(1, 0, 0, 0)])) == 4
+    assert len(_closure_elements(m2f4, [(1, 0, 0, 0)])) == 4
 
 
 def test_unit_classes_of_full_m1():
@@ -281,9 +329,35 @@ def test_module_process_m1():
     assert bm.matrix == ((2,),)
 
 
-@pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (7, 2), (8, 2), (9, 2)])
 def test_module_gf_closed_forms(q, m):
     assert ratfun_eq(module_gf(q, m), fixture_ratfun(module_gf_closed(q, m)))
+
+
+def test_module_gf_dim3_at_q3_is_the_unit_constant_form():
+    # A second prime for the form M_3(F_2) supports.
+    expected = module_gf_dim3_candidates(3)["unit-constant"]
+    assert ratfun_eq(module_gf(3, 3), fixture_ratfun(expected))
+
+
+def test_level_one_counts_similarity_classes():
+    # Level 1 of the tree over M_m(F_q) counts the unit classes of its root,
+    # the similarity classes of M_m(F_q).  Every ring the tree accepts is
+    # checked: fields up to 512 elements, rings up to 20000.
+    rings = 0
+    for q in range(2, matrixalg.FIELD_SIZE_LIMIT + 1):
+        try:
+            prime_power(q)
+        except ValueError:
+            continue
+        field = Fq(q)
+        m = 0
+        while q ** (m * m) <= matrixalg.RING_SIZE_LIMIT:
+            classes = unit_conjugacy_classes(Subalgebra.full(MatRing(field, m)))
+            assert len(classes) == similarity_class_count(q, m), (q, m)
+            rings += 1
+            m += 1
+    assert rings == 244
 
 
 def test_module_gf_first_coefficients():
@@ -310,21 +384,26 @@ def test_module_oracle_budget():
 
 
 def test_stretch_gate(monkeypatch):
-    # One rule: M_m(F_q) runs up to 512 elements; larger rings are refused
-    # before their field is built.
-    assert MatRing(Fq(2), 3).size == 512
+    # Three rules, each checked before a field is built: the tree's rings
+    # M_m(F_q) up to 20000 elements, fields up to 512 elements, and the
+    # brute-force oracle's rings up to 512 elements.
+    assert MatRing(Fq(3), 3).size == 19683
     with pytest.raises(SizeLimitError):
-        MatRing(Fq(3), 3)
+        MatRing(Fq(4), 3)
 
     def no_field(q):
         raise AssertionError(f"F_{q} built for a refused ring")
 
     monkeypatch.setattr(matrixalg, "Fq", no_field)
-    with pytest.raises(SizeLimitError):
-        module_process(3, 3)
-    with pytest.raises(SizeLimitError):
+    ring_rule = r"M_3\(F_4\) has 4\^9 elements; the supported bound is 20000"
+    with pytest.raises(SizeLimitError, match=ring_rule):
+        module_process(4, 3)
+    with pytest.raises(SizeLimitError, match=r"M_2\(F_13\) has 13\^4 elements"):
+        module_process(13, 2)
+    with pytest.raises(SizeLimitError, match="the brute-force oracle's bound is 512"):
         module_orbit_counts(3, 3, 1)
-    with pytest.raises(SizeLimitError, match="1009"):
+    field_rule = "F_1009 has 1009 elements; the supported field bound is 512"
+    with pytest.raises(SizeLimitError, match=field_rule):
         module_gf(1009, 1)
     with pytest.raises(SizeLimitError, match=r"M_1000\(F_2\) has 2\^1000000 elements"):
         module_gf(2, 1000)
@@ -366,16 +445,16 @@ def _reference_extends_to_ring_isomorphism(z1, z2, gens, images):
     return len(set(mapping.values())) == z2.size
 
 
-def _reached_subrings(q, conjugates, rng):
-    """M_2(F_q), every centralizer subring its tree reaches, and conjugates of each."""
-    ring = MatRing(Fq(q), 2)
+def _reached_subrings(q, conjugates, rng, m=2):
+    """M_m(F_q), every centralizer subring its tree reaches, and conjugates of each."""
+    ring = MatRing(Fq(q), m)
     seen = {}
     todo = [Subalgebra.full(ring)]
     while todo:
         z = todo.pop()
-        if z.elements in seen:
+        if z.basis in seen:
             continue
-        seen[z.elements] = z
+        seen[z.basis] = z
         todo += [centralizer_ring(z, rep) for rep, _ in unit_conjugacy_classes(z)]
     corpus = list(seen.values())
     for z in list(corpus):
@@ -383,6 +462,42 @@ def _reached_subrings(q, conjugates, rng):
             uinv = ring.inv(u)
             corpus.append(Subalgebra(ring, [ring.mul(ring.mul(u, a), uinv) for a in z.elements]))
     return corpus
+
+
+def _filtered_centralizer(z, a):
+    # The former centralizer_ring: the elements of z commuting with a.
+    ring = z.ring
+    return Subalgebra(ring, (b for b in z.elements if ring.mul(a, b) == ring.mul(b, a)))
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (4, 2), (2, 3)])
+def test_null_space_centralizer_matches_element_filter(q, m):
+    rng = random.Random(q + m)
+    corpus = _reached_subrings(q, 1, rng, m)
+    for z in corpus:
+        reps = [rep for rep, _ in unit_conjugacy_classes(z)]
+        for a in reps + rng.sample(z.sorted_elements, min(3, z.size)):
+            spanned = centralizer_ring(z, a)
+            listed = _filtered_centralizer(z, a)
+            assert spanned.basis == listed.basis
+            assert spanned.sorted_elements == tuple(sorted(listed.elements))
+    assert len(corpus) == {(2, 2): 10, (3, 2): 18, (4, 2): 30, (2, 3): 52}[q, m]
+
+
+def test_element_list_and_null_space_basis_get_one_key(monkeypatch):
+    ring = MatRing(Fq(3), 2)
+    a = (0, 1, 0, 0)
+    spanned = centralizer_ring(Subalgebra.full(ring), a)
+    listed = _filtered_centralizer(Subalgebra.full(ring), a)
+    assert "basis" not in vars(listed) and "elements" not in vars(spanned)
+    first, second = RingKeyRegistry(), RingKeyRegistry()
+    keys = (first.key_for(spanned), second.key_for(listed))
+
+    def no_fingerprint(z):
+        raise AssertionError("fingerprint computed for a subring seen before")
+
+    monkeypatch.setattr(matrixalg, "ring_fingerprint", no_fingerprint)
+    assert (first.key_for(listed), second.key_for(spanned)) == keys
 
 
 def test_ring_extension_check_matches_reference():

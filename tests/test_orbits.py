@@ -3,6 +3,7 @@
 import ast
 import itertools
 import operator
+import random
 from pathlib import Path
 
 import pytest
@@ -112,11 +113,20 @@ def test_greedy_generators_pinned(name):
 )
 def test_canonical_form_agrees_with_least_image(tables):
     # Every tuple of length 1 or 2, a superset of the oracles' candidates at
-    # levels <= 2; without the first table the list is no longer a group.
+    # levels <= 2, then sampled 3-tuples whose 2-prefix is not canonical
+    # (the oracles only extend canonical prefixes); without the first table
+    # the list is no longer a group.
     tables = tables()
     points = range(len(tables[0]))
+    rng = random.Random(4)
     for subset in (tables, tables[1:]):
         canonical = orbits.canonical_form(subset)
         for length in (1, 2):
             for candidate in itertools.product(points, repeat=length):
                 assert canonical(candidate) == orbits.least_image(subset, candidate)
+        sampled = 0
+        while sampled < 200:
+            candidate = tuple(rng.choice(points) for _ in range(3))
+            if orbits.least_image(subset, candidate[:2]) != candidate[:2]:
+                assert canonical(candidate) == orbits.least_image(subset, candidate)
+                sampled += 1
