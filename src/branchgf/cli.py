@@ -75,9 +75,12 @@ def _prime_power(text: str) -> int:
     """argparse type: a prime power q, the order of the field F_q."""
     try:
         q = int(text)
-        matrixalg.prime_power(q)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a prime power, got {text!r}") from None
+    try:
+        matrixalg.prime_power(q)
+    except ValueError as exc:  # not a prime power, or a prime too large to test
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return q
 
 

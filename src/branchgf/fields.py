@@ -1,118 +1,111 @@
 """Finite fields F_q and linear algebra over them.
 
-Fq holds full addition and multiplication tables, checked entry by entry
-at construction against schoolbook arithmetic in F_p[t]/(f).  Span keeps
-a subspace of F_q^n in reduced row echelon form; its basis names the
-subspace, and over the prime subfield (the elements 0..p-1) it spans
-F_p-vectors with the same tables.
+Fq reads its tables off schoolbook arithmetic in F_p[t]/(f): addition adds
+base-p digits without carry, and multiplication adds discrete logarithms to
+the base of a generator of the nonzero residues.  Span keeps a subspace of
+F_q^n in reduced row echelon form; its basis names the subspace, and over the
+prime subfield (the elements 0..p-1) it spans F_p-vectors with the same tables.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from operator import getitem
+import operator
+from functools import partial, reduce
 from typing import Iterable, Sequence
 
 __all__ = ["Fq", "prime_power", "Span", "echelon_basis"]
+
+# Miller-Rabin to the 13 prime bases 2..41 is exact below PSI_13 (Sorenson
+# and Webster, 2015); a number at or above it that passes all 13 is refused.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 
 class Fq:
     """Finite field of order q = p^k with full arithmetic tables.
 
     Elements are the integers 0..q-1; the base-p digits of an element are
-    the coefficients of a residue polynomial modulo the first monic
+    the coefficients of a residue polynomial modulo f, the first monic
     polynomial of degree k, in lexicographic order of its coefficients
-    c_0, ..., c_{k-1}, whose residues form a field: every nonzero residue
-    has an inverse in its multiplication table.  For k = 1 that is t, and
-    the tables are those of the integers mod p.  Every table entry is
-    checked at construction against schoolbook arithmetic (_check_axioms).
+    c_0, ..., c_{k-1}, that no monic polynomial of degree 1..k/2 divides.
+    For k = 1 that is t, and the tables are those of the integers mod p.
+    Let g be the least residue whose schoolbook powers first return to 1 at
+    g^(q-1): then g^0, ..., g^(q-2) are q - 1 distinct units, so the
+    residues form a field, and mul[g^i][g^j] = g^((i+j) mod (q-1)).
     """
 
     def __init__(self, q: int):
         p, k = prime_power(q)
-        self.q = q
-        self.p = p
-        self.k = k
-        # Adding 1 steps the low digit mod p, so a + b = (a-1) + (1 + b) when
-        # a % p > 0; otherwise the digits of a // p and b // p add.
-        one = tuple(b - b % p + (b + 1) % p for b in range(q))
-        add = [tuple(range(q))]
-        for a in range(1, q):
-            if a % p:
-                add.append(tuple(map(add[a - 1].__getitem__, one)))
-            else:
-                high = add[a // p]
-                add.append(tuple(p * high[b // p] + b % p for b in range(q)))
-        self.add = tuple(add)
-        for coeffs in itertools.product(range(p), repeat=k):
-            self.modulus = (*coeffs, 1)
-            mul = _mul_table(p, k, self.modulus, self.add)
-            if mul is not None:
+        self.q, self.p, self.k = q, p, k
+        monic = [[(*c, 1) for c in itertools.product(range(p), repeat=j)] for j in range(k + 1)]
+        divisors = list(itertools.chain(*monic[1 : k // 2 + 1]))
+        # f is irreducible when f times 1, reduced modulo each divisor d, is nonzero.
+        self.modulus = next(
+            f for f in monic[k] if all(any(_mulmod(f, (1,), d, p)) for d in divisors)
+        )
+        digits = [_digits(e, p, k) for e in range(q)]
+        # Digits add mod p without carry: lanes[i][d][b] is p^i times digit i of
+        # a + b when digit i of a is d, and row a of add sums the lanes of a's digits.
+        lanes = []
+        for i in range(k):
+            digit, place = [x * p**i for x in range(p)], [ds[i] for ds in digits]
+            lanes.append([tuple(map((digit[d:] + digit[:d]).__getitem__, place)) for d in range(p)])
+        plus = partial(map, operator.add)
+        self.add = tuple(tuple(reduce(plus, map(operator.getitem, lanes, ds))) for ds in digits)
+        for g in range(1, q):
+            power, x = [1], digits[g]
+            while len(power) < q and (e := _encode(x, p)) != 1:
+                power.append(e)
+                x = _mulmod(x, digits[g], self.modulus, p)
+            if len(power) == q - 1:
                 break
-        self.mul = mul
-        self._check_axioms()
+        log = [q - 1] * q  # log 0 points at a 0 put after the powers
+        for i, a in enumerate(power):
+            log[a] = i
+        times = operator.itemgetter(*log)
+        self.mul = ((0,) * q, *(times(power[i:] + power[:i] + [0]) for i in log[1:]))
         self.neg = tuple(row.index(0) for row in self.add)
         self.inv = (0, *(row.index(1) for row in self.mul[1:]))
-
-    def _check_axioms(self) -> None:
-        """Check every add and mul entry against arithmetic in F_p[t]/(modulus).
-
-        Schoolbook products of digit lists find a g whose powers g^0, ...,
-        g^(q-2) are q - 1 distinct residues, so the residues form a field
-        and every nonzero residue is a power of g.  Then row g^i of mul must
-        send g^j to g^(i+j), and row g^i of add must send g^j to
-        g^i * (1 + g^(j-i)), where adding 1 steps the low digit.  That is
-        O(q^2) lookups, and O(q k^2) digit arithmetic per g tried.
-        """
-        q, p, k, add, mul = self.q, self.p, self.k, self.add, self.mul
-        n = q - 1
-
-        def powers(g: int) -> list[int] | None:
-            # g^0, g^1, ... up to the first return to 1, or None without one.
-            out, x, gd = [1], _digits(1, p, k), _digits(g, p, k)
-            for _ in range(n):
-                x = _schoolbook_mulmod(x, gd, self.modulus, p)
-                e = _encode(x, p)
-                if e == 1:
-                    return out
-                out.append(e)
-            return None
-
-        for g in range(1, q):
-            power = powers(g)
-            if power is not None and len(power) == n:
-                break
-        else:
-            raise ArithmeticError(f"F_{p}[t] modulo {self.modulus} is not a field")
-        if add[0] != tuple(range(q)) or mul[0] != (0,) * q:
-            raise ArithmeticError("row 0 differs from F_p[t]/(modulus)")
-        one_plus = [x - x % p + (x % p + 1) % p for x in power]
-        for i, a in enumerate(power):
-            row_mul, row_add = mul[a], add[a]
-            if row_mul[0] != 0 or [row_mul[b] for b in power] != power[i:] + power[:i]:
-                raise ArithmeticError(f"multiplication row {a} differs from F_p[t]/(modulus)")
-            shifted = one_plus[n - i :] + one_plus[: n - i]
-            if row_add[0] != a or [row_add[b] for b in power] != [row_mul[x] for x in shifted]:
-                raise ArithmeticError(f"addition row {a} differs from F_p[t]/(modulus)")
 
     def __repr__(self) -> str:
         return f"Fq({self.q})"
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k for a prime p; ValueError when q is no prime power."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    # The least divisor above 1 is prime; q is a prime power iff it is p^k.
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    k, n = 0, q
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, k
+    """(p, k) with q = p^k for a prime p; ValueError when q is no prime power.
+
+    p is the exact k-th root of q for the largest such k; a p at or above
+    PSI_13 that passes every Miller-Rabin base raises a ValueError naming it.
+    """
+    if q >= 2:
+        k = next(k for k in range(q.bit_length(), 0, -1) if _iroot(q, k) ** k == q)
+        if _is_prime(p := _iroot(q, k)):
+            return p, k
+    raise ValueError(f"{q} is not a prime power")
+
+
+def _iroot(n: int, k: int) -> int:
+    """The largest r with r^k <= n, for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases MILLER_RABIN_BASES, for n >= 2."""
+    if n % 2 == 0 or n in MILLER_RABIN_BASES:
+        return n in MILLER_RABIN_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in MILLER_RABIN_BASES:
+        # A prime n has b^d = 1, or b^(d 2^j) = -1 for some j < s.
+        chain = [pow(b, (n - 1) >> (s - j), n) for j in range(s)]
+        if chain[0] != 1 and n - 1 not in chain:
+            return False
+    if n >= PSI_13:
+        raise ValueError(f"cannot decide if {n} is prime: Miller-Rabin is exact below {PSI_13}")
+    return True
 
 
 def _digits(e: int, p: int, k: int) -> list[int]:
@@ -130,49 +123,18 @@ def _encode(digits: Sequence[int], p: int) -> int:
     return e
 
 
-def _schoolbook_mulmod(
-    a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int
-) -> list[int]:
+def _mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
     """Digits of a * b modulo the monic modulus, by long multiplication and division."""
     k = len(modulus) - 1
-    prod = [0] * (2 * k - 1)
+    prod = [0] * max(len(a) + len(b) - 1, k)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             prod[i + j] += x * y
-    for top in range(2 * k - 2, k - 1, -1):  # t^top = -t^(top-k) * (modulus - t^k)
+    for top in range(len(prod) - 1, k - 1, -1):  # t^top = -t^(top-k) * (modulus - t^k)
         lead, prod[top] = prod[top], 0
         for j in range(k):
             prod[top - k + j] -= lead * modulus[j]
     return [c % p for c in prod[:k]]
-
-
-def _mul_table(p: int, k: int, modulus: Sequence[int], add: tuple) -> tuple | None:
-    """Multiplication table of F_p[t] / (modulus), or None if that is no field.
-
-    Row a is built from earlier rows: (a-1)*b + b for a < p, (a/p) * (t*b)
-    for a divisible by p, and (a - a%p)*b + (a%p)*b otherwise.  None as soon
-    as a nonzero row has no 1, that is a residue without an inverse.
-    """
-    q = p**k
-    times_t = []
-    for b in range(q):
-        d = _digits(b, p, k)
-        # t * b, with t^k replaced by -(modulus - t^k)
-        times_t.append(_encode([(x - d[-1] * c) % p for x, c in zip([0, *d[:-1]], modulus)], p))
-    mul = [(0,) * q]
-    for a in range(1, q):
-        low = a % p
-        # Each row is formed by map over table lookups, which keeps the loop in C.
-        if a < p:
-            row = tuple(map(getitem, add, mul[a - 1]))  # add[b][(a-1)*b]
-        elif low == 0:
-            row = tuple(map(mul[a // p].__getitem__, times_t))
-        else:
-            row = tuple(map(getitem, map(add.__getitem__, mul[a - low]), mul[low]))
-        if 1 not in row:
-            return None
-        mul.append(row)
-    return tuple(mul)
 
 
 class Span:
@@ -232,9 +194,6 @@ class Span:
 
 
 def echelon_basis(field: Fq, vectors: Iterable[Sequence[int]]) -> list:
-    """The vectors outside the span of those before them.
-
-    They form a basis of the span of all the vectors.
-    """
+    """The vectors outside the span of those before them: a basis of the span of all."""
     span = Span(field)
     return [v for v in vectors if span.add(v)]

@@ -303,10 +303,6 @@ class Subalgebra:
         )
         return ring.field.q ** (len(basis) - rank)
 
-    @property
-    def is_commutative(self) -> bool:
-        return self.center_size == self.size
-
     def __repr__(self) -> str:
         return f"Subalgebra(size={self.size} of {self.ring!r})"
 
@@ -370,18 +366,12 @@ def _nilpotency_index(ring: MatRing, a: Mat) -> int:
 
 
 def ring_fingerprint(z: Subalgebra) -> tuple:
-    """Cheap unital-ring isomorphism invariants.
+    """Cheap unital-ring isomorphism invariants: size, center size, unit orders.
 
-    The additive exponent is the characteristic p for a nonzero ring.
+    They fix the characteristic (by the size), the number of units (the sum
+    of the order counts) and commutativity (center size equal to size).
     """
-    return (
-        z.size,
-        len(z.units),
-        z.center_size,
-        z.ring.field.p if z.size > 1 else 1,
-        tuple(sorted(Counter(z.unit_orders.values()).items())),
-        z.is_commutative,
-    )
+    return (z.size, z.center_size, tuple(sorted(Counter(z.unit_orders.values()).items())))
 
 
 def _word_basis(

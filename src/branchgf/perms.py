@@ -295,10 +295,6 @@ class PermGroup:
         }
 
     @cached_property
-    def center_order(self) -> int:
-        return sum(1 for cls in self.conjugacy_classes if cls.size == 1)
-
-    @cached_property
     def derived_subgroup_order(self) -> int:
         """|G'|, with G' the normal closure of the commutators of a generating set.
 
@@ -325,12 +321,13 @@ class PermGroup:
 
     @cached_property
     def fingerprint(self) -> tuple:
-        """Cheap isomorphism invariants; equality is necessary, not sufficient."""
+        """Cheap isomorphism invariants; equality is necessary, not sufficient.
+
+        The sorted class sizes fix the center order and whether G is abelian.
+        """
         return (
             self.order,
-            self.is_abelian,
             self.element_order_counts,
-            self.center_order,
             tuple(sorted(cls.size for cls in self.conjugacy_classes)),
             self.derived_subgroup_order,
         )

@@ -329,8 +329,12 @@ def _least_linear_factor(p: Poly) -> tuple[int, Poly] | None:
 
     k divides the leading coefficient, and a divisor above its isqrt is the
     cofactor of one below it, so a scan costs min(isqrt(lead), bound) trial
-    divisions and stops at the first k found.
+    divisions and stops at the first k found.  A linear p = c_0 + c_1*t has
+    only k = -c_1/c_0 to try, without a scan.
     """
+    if p.degree == 1:
+        c0, c1 = p.coeffs
+        return (-c1 // c0, Poly([c0])) if c0 and c1 % c0 == 0 else None
     lead, bound = abs(p.coeffs[-1]), _reversed_root_bound(p.coeffs)
 
     def candidates() -> Iterator[int]:

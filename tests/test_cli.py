@@ -257,6 +257,7 @@ EXIT_CODE_CASES = [
     (["group", "--name", "S6", "--kind", "commuting", "--terms", "8"], EXIT_OK),
     (["matrix-alg", "--q", "2", "--m", "0", "--terms", "3"], EXIT_OK),
     (["configs", "--kind", "vector", "--q", "1000003", "--m", "1"], EXIT_OK),
+    (["configs", "--kind", "vector", "--q", "10000000000000061", "--m", "1"], EXIT_OK),
     (["expand", "--num", "1", "--den", "1,-1", "--terms", "0"], EXIT_OK),
     (["verify", "--suite", "paper-tables"], EXIT_MISMATCH),
     (["matrix-alg", "--q", "6", "--m", "2"], EXIT_USAGE),
@@ -280,6 +281,16 @@ EXIT_CODE_CASES = [
     (["group", "--name", "D300"], EXIT_LIMIT),
     (["verify", "--suite", "oracles", "--budget", "0"], EXIT_LIMIT),
 ]
+
+
+def test_prime_too_large_to_test_is_a_usage_error(capsys):
+    # psi_13 passes Miller-Rabin to every base prime_power uses; the message
+    # names the bound instead of "not a prime power".
+    bound = "3317044064679887385961981"
+    with pytest.raises(SystemExit) as exc:
+        main(["configs", "--kind", "vector", "--q", bound, "--m", "1"], out=io.StringIO())
+    assert exc.value.code == EXIT_USAGE
+    assert f"Miller-Rabin is exact below {bound}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -8,15 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from branchgf import orbits
+from branchgf import fields, orbits
 from branchgf.cli import parse_group_name
 from branchgf.configs import _gl_action_tables
 from branchgf.matrixalg import _matrix_ring
 from branchgf.perms import Perm, symmetric_group
 
 
-def test_orbits_imports_only_errors_from_the_package():
-    tree = ast.parse(Path(orbits.__file__).read_text(encoding="utf-8"))
+def _package_imports(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     package_imports = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
@@ -27,7 +27,16 @@ def test_orbits_imports_only_errors_from_the_package():
             package_imports.update(
                 alias.name for alias in node.names if alias.name.startswith("branchgf")
             )
-    assert package_imports == {".errors"}
+    return package_imports
+
+
+# The oracles lean on orbits and fields, so neither may reach the tree code.
+def test_orbits_imports_only_errors_from_the_package():
+    assert _package_imports(orbits) == {".errors"}
+
+
+def test_fields_imports_nothing_from_the_package():
+    assert _package_imports(fields) == set()
 
 
 def _c4_to_klein_step(pair, gen):

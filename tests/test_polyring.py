@@ -325,6 +325,11 @@ def test_geometric_factors():
     assert geometric_factors(one_minus(big)) == (1, [(big, 1)], ONE)
     p = one_minus(-2) * one_minus(big) * one_minus(10007) * one_minus(10009)
     assert geometric_factors(p) == (1, [(-2, 1), (10007, 1), (10009, 1), (big, 1)], ONE)
+    # A linear part needs no divisor scan, whatever its coefficient.
+    huge = 10**16 + 61
+    assert geometric_factors(one_minus(1) * one_minus(huge)) == (1, [(1, 1), (huge, 1)], ONE)
+    assert geometric_factors(Poly([2, 2 * huge])) == (2, [(-huge, 1)], ONE)
+    assert geometric_factors(Poly([2, huge])) == (1, [], Poly([2, huge]))
 
 
 def test_display_strings():
