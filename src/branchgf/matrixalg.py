@@ -35,7 +35,7 @@ from .engine import centralizer_tower, gf_total
 from .errors import ElementNotInAlgebraError, SizeLimitError
 from .fields import Fq, Span, _digits, prime_power
 from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, closure, extend_map
-from .orbits import canonical_form, greedy_generators, orbit_partition
+from .orbits import canonical_form, greedy_generators, orbit_partition, search_images
 from .polyring import RatFun
 
 __all__ = [
@@ -456,10 +456,12 @@ def _element_profile(z: Subalgebra, a: Mat) -> tuple:
 
 
 def ring_is_isomorphic(z1: Subalgebra, z2: Subalgebra) -> bool:
-    """Decide unital-ring isomorphism by trying images of a generating set.
+    """Decide unital-ring isomorphism by searching images of a generating set.
 
     Each generator of z1 (none for the prime ring) tries, in sorted order,
-    the elements of z2 with the same element profile.
+    the elements of z2 with the same element profile; orbits.search_images
+    keeps a prefix of images only while _ring_map_extends accepts it, so
+    one conflict drops every tuple that begins with that prefix.
     """
     if z1.size != z2.size:
         return False
@@ -473,33 +475,30 @@ def ring_is_isomorphic(z1: Subalgebra, z2: Subalgebra) -> bool:
         [b for b, profile in zip(z2.sorted_elements, profiles) if profile == wanted]
         for wanted in (_element_profile(z1, g) for g in gens)
     ]
-    return any(
-        _is_ring_isomorphism(z1, z2, gens, images) for images in itertools.product(*candidates)
-    )
+    return search_images(candidates, partial(_ring_map_extends, z1, z2, gens))
 
 
-def _is_ring_isomorphism(
+def _ring_map_extends(
     z1: Subalgebra, z2: Subalgebra, gens: Sequence[Mat], images: Sequence[Mat]
 ) -> bool:
-    """Whether gens -> images extends to a ring isomorphism from z1 onto z2.
+    """Whether the first generators -> images extends to a one-to-one ring map.
 
-    The words in gens that _word_basis keeps are an F_p-basis of z1; f maps
-    each to the same word in images, F_p-linearly.  With no conflict every
-    product w*g of a basis word and a generator maps to f(w)*f(g), so by
-    linearity and induction on words f is a unital ring homomorphism; it
-    is onto z2 when the images are F_p-independent and as many as z2's
-    F_p-dimension.  An isomorphism extending gens -> images sends every
-    word to the same word in images, so it passes both tests.
+    The words in those generators that _word_basis keeps are an F_p-basis
+    of the subring S of z1 that they generate; f maps each to the same word
+    in images, F_p-linearly.  With no conflict every product w*g of a basis
+    word and a generator maps to f(w)*f(g), so by linearity and induction
+    on words f is a unital ring homomorphism on S; it is one-to-one when
+    the image words are F_p-independent.  With every generator S is z1,
+    and f is then onto z2, as |z1| = |z2|.  An isomorphism extending
+    gens -> images is such an f on every S, so it passes at every prefix.
     """
-    found = _word_basis([(z1.ring, gens), (z2.ring, images)])
+    found = _word_basis([(z1.ring, gens[: len(images)]), (z2.ring, images)])
     if found is None:
         return False
     _span, words = found
     r2 = z2.ring
     images_span = Span(r2.field)
-    return len(words) == r2.field.k * len(z2.basis) and all(
-        images_span.add(r2.fp_vector(image)) for _, image in words
-    )
+    return all(images_span.add(r2.fp_vector(image)) for _, image in words)
 
 
 class RingKeyRegistry(IsoRegistry):

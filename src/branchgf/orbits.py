@@ -9,10 +9,11 @@ such an extension of its prefix's representative.  The callers supply only
 the allowed extensions and the canonical form.
 
 The closure-based helpers serve the tree code for groups and rings alike
-(generating sets, conjugation orbits, and the generator-map extension of
-both isomorphism tests) and the oracles' conjugation tables.  This module
-still imports nothing from the tree code (engine, registries, group or
-ring classes), so the oracles stay an independent check on it.
+(generating sets, conjugation orbits, map extension, and search_images,
+the one prefix-pruned image search of both isomorphism tests) and the
+oracles' conjugation tables.  This module still imports nothing from the
+tree code (engine, registries, group or ring classes), so the oracles
+stay an independent check on it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import OrderLimitError, WorkBudgetError
 
 __all__ = [
     "DEFAULT_WORK_BUDGET", "canonical_levels", "least_image", "canonical_form", "closure",
-    "greedy_generators", "orbit_partition", "extend_map",
+    "greedy_generators", "orbit_partition", "extend_map", "search_images",
 ]
 
 DEFAULT_WORK_BUDGET = 10_000_000
@@ -187,3 +188,18 @@ def extend_map(
                     return None
         frontier = nxt
     return mapping
+
+
+def search_images(candidates: Sequence[Sequence[T]], extends: Callable[[tuple], bool]) -> bool:
+    """Whether some tuple of images, one from each candidate list, passes
+    extends(images[:k+1]) for every k, by depth-first search: a rejected
+    prefix is never extended.  No candidate lists leave the empty tuple: True.
+    """
+
+    def search(prefix: tuple) -> bool:
+        return len(prefix) == len(candidates) or any(
+            extends(images) and search(images)
+            for images in (prefix + (y,) for y in candidates[len(prefix)])
+        )
+
+    return search(())

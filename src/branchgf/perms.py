@@ -4,11 +4,11 @@ Groups are stored as full element lists (every group in scope has order at
 most a few hundred, where filtering beats stabilizer-chain machinery) and
 are immutable once built.  Products of permutations already known to be
 valid skip the validation that the public Perm constructor runs.
-Generating sets, conjugation orbits and map extension come from
-branchgf.orbits, shared with the ring code.  Isomorphism testing screens
-with cheap invariants first (the derived subgroup among them, as the
-normal closure of the commutators of a generating set), then extends
-candidate images of a small generating set over the Cayley graph.
+Generating sets, conjugation orbits, map extension and the image search
+come from branchgf.orbits, shared with the ring code.  Isomorphism testing
+screens with cheap invariants first (the derived subgroup among them, as
+the normal closure of the commutators of a generating set), then searches
+images of a small generating set, pruned at every failing prefix.
 KeyRegistry keys groups for the tree engine through engine.IsoRegistry,
 which the ring code shares: isomorphic groups get one hashable key with
 a stable per-run tag.  A group whose element set was keyed before is
@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .engine import IsoKey, IsoRegistry
 from .errors import ElementNotInGroupError, OrderLimitError
-from .orbits import closure, extend_map, greedy_generators, orbit_partition
+from .orbits import closure, extend_map, greedy_generators, orbit_partition, search_images
 
 __all__ = [
     "Perm",
@@ -357,10 +357,12 @@ def is_isomorphic(g: PermGroup, h: PermGroup) -> bool:
     """Decide isomorphism of two groups of order <= ISO_ORDER_LIMIT (512).
 
     Screens by the invariant fingerprint, settles abelian pairs by their
-    element-order statistics, and otherwise tries images in h of a small
-    generating set of g with matching order and class size, the first one
-    a class representative.  A conflict-free extension over the Cayley
-    graph of g (orbits.extend_map) with h.order images is an isomorphism.
+    element-order statistics, and otherwise searches (orbits.search_images)
+    images in h of a small generating set of g with matching order and class
+    size, the first one a class representative.  A prefix of images is kept
+    while its extension over the Cayley graph of the subgroup it generates
+    (orbits.extend_map) is conflict-free and injective: with every
+    generator, a bijection onto h, as |g| = |h|, so an isomorphism.
     Larger groups raise OrderLimitError, even equal ones; KeyRegistry calls
     this only for a new element set whose fingerprint matches a known group.
     """
@@ -380,18 +382,18 @@ def is_isomorphic(g: PermGroup, h: PermGroup) -> bool:
     first_candidates = [
         c.rep for c in h.conjugacy_classes if (c.rep.order(), c.size) == profiles[0]
     ]
-    # Later generators try their candidates from the last element down: the
-    # trees of S5, D8xC2, S5xC2, C2wrS2xS4 and S6 then try 340 tuples, not 397.
     later_candidates = [
-        [y for y in reversed(h.elements) if (y.order(), h.class_size_of[y]) == profile]
+        [y for y in h.elements if (y.order(), h.class_size_of[y]) == profile]
         for profile in profiles[1:]
     ]
     start = (g.identity, h.identity)
-    for imgs in itertools.product(first_candidates, *later_candidates):
-        mapping = extend_map(start, list(zip(gens, imgs)), lambda p, q: (p[0] * q[0], p[1] * q[1]))
-        if mapping is not None and len(set(mapping.values())) == h.order:
-            return True
-    return False
+
+    def extends(images: tuple[Perm, ...]) -> bool:
+        pairs = list(zip(gens, images))
+        mapping = extend_map(start, pairs, lambda p, q: (p[0] * q[0], p[1] * q[1]))
+        return mapping is not None and len(set(mapping.values())) == len(mapping)
+
+    return search_images([first_candidates, *later_candidates], extends)
 
 
 class KeyRegistry(IsoRegistry):

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from itertools import compress, count
+from typing import Iterable, Sequence
 
 from .errors import (
     NonIntegerCoefficientError,
@@ -303,10 +303,9 @@ def geometric_factors(p: Poly) -> tuple[int, list[tuple[int, int]], Poly]:
     """Best-effort factorization p = c * prod (1 - k*t)^e * rest.
 
     Returns (c, [(k, e), ...], rest) with the k ascending.  Used for display
-    only; rest is whatever does not split into such factors.  The k are
-    tried in ascending |k|, k before -k, and only those dividing the
-    leading coefficient; (1 - k*t) divides p only if k is a root of the
-    reversed polynomial, so each search also stops at a bound on those roots.
+    only; rest is whatever does not split into such factors.  (1 - k*t)
+    divides p exactly when k is a root of the reversed polynomial, so the
+    k are its integer roots, each divided out as often as it divides.
     """
     if p.is_zero:
         return 0, [], ONE
@@ -314,61 +313,38 @@ def geometric_factors(p: Poly) -> tuple[int, list[tuple[int, int]], Poly]:
     if p.coeffs[0] < 0:
         c = -c
     rest = Poly([x // c for x in p.coeffs])
-    found: dict[int, int] = {}
-    while rest.degree >= 1:
-        hit = _least_linear_factor(rest)
-        if hit is None:
+    found = []
+    for k in _integer_roots(Poly(reversed(rest.coeffs))):
+        e = 0
+        while _divides(one_minus(k), rest):
+            rest, e = rest.divexact(one_minus(k)), e + 1
+        found.append((k, e))
+    return c, found, rest
+
+
+def _integer_roots(r: Poly) -> list[int]:
+    """The integer roots of r, r(0) != 0, ascending, by p-adic lifting (R. Loos,
+    SIAM J. Comput. 12, 1983).  The squarefree part s of r has the same roots,
+    all simple.  At the least prime l at which the roots of s mod l are simple,
+    Newton's step lifts each to the one root of s mod l^(2^i) above it; an
+    integer root divides s(0), so past 2|s(0)| only the symmetric residue can be.
+    """
+    s = r.divexact(poly_gcd(r, _derivative(r)))
+    ds = _derivative(s)
+    for l in (n for n in count(2) if all(n % d for d in range(2, math.isqrt(n) + 1))):
+        roots = [x for x in range(l) if s(x) % l == 0]
+        if all(ds(x) % l for x in roots):
             break
-        k, rest = hit
-        found[k] = found.get(k, 0) + 1
-    return c, sorted(found.items()), rest
+    modulus = l
+    while modulus <= 2 * abs(s.coeffs[0]):
+        modulus *= modulus
+        roots = [(x - s(x) * pow(ds(x), -1, modulus)) % modulus for x in roots]
+    candidates = (x - modulus if 2 * x > modulus else x for x in roots)
+    return sorted(k for k in candidates if s(k) == 0)
 
 
-def _least_linear_factor(p: Poly) -> tuple[int, Poly] | None:
-    """(k, p / (1 - k*t)) for the least |k| that divides, k before -k; else None.
-
-    k divides the leading coefficient, and a divisor above its isqrt is the
-    cofactor of one below it, so a scan costs min(isqrt(lead), bound) trial
-    divisions and stops at the first k found.  A linear p = c_0 + c_1*t has
-    only k = -c_1/c_0 to try, without a scan.
-    """
-    if p.degree == 1:
-        c0, c1 = p.coeffs
-        return (-c1 // c0, Poly([c0])) if c0 and c1 % c0 == 0 else None
-    lead, bound = abs(p.coeffs[-1]), _reversed_root_bound(p.coeffs)
-
-    def candidates() -> Iterator[int]:
-        large = []
-        for d in range(1, min(math.isqrt(lead), bound) + 1):
-            if lead % d == 0:
-                yield d
-                if lead // d <= bound:
-                    large.append(lead // d)
-        yield from reversed(large)
-
-    for k in candidates():
-        for cand in (k, -k):
-            try:
-                return cand, p.divexact(one_minus(cand))
-            except ValueError:
-                pass
-    return None
-
-
-def _reversed_root_bound(coeffs: Sequence[int]) -> int:
-    """A bound on |k| over the nonzero roots k of the reversed polynomial.
-
-    Fujiwara's bound 2 * max_i |c_i / c_0|^(1/i), with c_0 the lowest
-    nonzero coefficient and each |c_i / c_0|^(1/i) rounded up to a power
-    of two.
-    """
-    low = next(i for i, x in enumerate(coeffs) if x)
-    c0 = abs(coeffs[low])
-    bound = 1
-    for i, x in enumerate(coeffs[low + 1 :], 1):
-        ratio = -(-abs(x) // c0)  # ceil(|c_i / c_0|) < 2**bit_length
-        bound = max(bound, 1 << -(-ratio.bit_length() // i))
-    return 2 * bound
+def _derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
 
 
 class RatFun:

@@ -258,6 +258,7 @@ EXIT_CODE_CASES = [
     (["matrix-alg", "--q", "2", "--m", "0", "--terms", "3"], EXIT_OK),
     (["configs", "--kind", "vector", "--q", "1000003", "--m", "1"], EXIT_OK),
     (["configs", "--kind", "vector", "--q", "10000000000000061", "--m", "1"], EXIT_OK),
+    (["configs", "--kind", "vector", "--q", "10000000000000061", "--m", "2"], EXIT_OK),
     (["expand", "--num", "1", "--den", "1,-1", "--terms", "0"], EXIT_OK),
     (["verify", "--suite", "paper-tables"], EXIT_MISMATCH),
     (["matrix-alg", "--q", "6", "--m", "2"], EXIT_USAGE),

@@ -16,6 +16,7 @@ from branchgf.commuting import (
     symmetric_burnside_gf,
     zlambda,
 )
+from branchgf.cli import parse_group_name
 from branchgf.engine import bfs_level_counts, build_branching, gf_total, verify_tree
 from branchgf.errors import WorkBudgetError
 from branchgf.fixtures import (
@@ -151,6 +152,15 @@ def test_oracle_matches_series_small_groups():
     for group, depth in cases:
         series = commuting_gf(group).series(depth)
         assert commuting_orbit_counts(group, depth) == series
+
+
+def test_product_rule_for_a_group_of_order_128():
+    # Commuting tuples in G x H up to conjugacy are pairs of such tuples.
+    factor = commuting_gf(wreath_c2_s2()).series(8)
+    assert factor[:5] == commuting_orbit_counts(wreath_c2_s2(), 4)
+    group = parse_group_name("C2wrS2xC2wrS2xC2")
+    assert group.order == 128
+    assert commuting_gf(group).series(8) == [h * h * 2**n for n, h in enumerate(factor)]
 
 
 def test_oracle_budget():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from branchgf import perms
+from branchgf import orbits, perms
 from branchgf.cli import parse_group_name
 from branchgf.commuting import commuting_process
 from branchgf.engine import build_branching
@@ -334,8 +334,8 @@ def test_derived_subgroup_matches_brute_force():
 
 
 def test_iso_search_order_candidate_count(monkeypatch):
-    # is_isomorphic tries later generators' candidates from the last element
-    # down; these trees then need 340 candidate tuples (397 in ascending order).
+    # is_isomorphic extends each image prefix it tries once, and never a
+    # prefix that begins with a rejected one: these trees need 55 extensions.
     calls = []
 
     def counting(*args):
@@ -345,4 +345,66 @@ def test_iso_search_order_candidate_count(monkeypatch):
     monkeypatch.setattr(perms, "extend_map", counting)
     for name in ("S5", "D8xC2", "S5xC2", "C2wrS2xS4", "S6"):
         build_branching(commuting_process(parse_group_name(name)))
-    assert 0 < len(calls) <= 340
+    assert 0 < len(calls) <= 55
+
+
+def _quaternion_group():
+    # Q8 acting on itself by left multiplication, quaternions as 4-tuples.
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    elements = units + [tuple(-c for c in u) for u in units]
+
+    def mul(x, y):
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = y
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+
+    def left(x):
+        return Perm([elements.index(mul(x, y)) for y in elements])
+
+    return PermGroup.from_generators(8, [left(units[1]), left(units[2])])
+
+
+def _c4_semidirect_c4():
+    # Left-regular action of (i, j)(k, l) = (i + (-1)^j k, j + l) mod 4.
+    points = [(i, j) for i in range(4) for j in range(4)]
+
+    def left(x):
+        i, j = x
+        return Perm([points.index(((i + (-1) ** j * k) % 4, (j + l) % 4)) for k, l in points])
+
+    return PermGroup.from_generators(16, [left((1, 0)), left((0, 1))])
+
+
+def test_iso_search_rejects_q8xc2_against_c4_semidirect_c4(monkeypatch):
+    q8xc2 = direct_product(_quaternion_group(), cyclic_group(2))
+    c4c4 = _c4_semidirect_c4()
+    assert q8xc2.order == c4c4.order == 16
+    assert q8xc2.fingerprint == c4c4.fingerprint
+    # An invariant the fingerprint misses: the number of distinct squares.
+    assert [len({x * x for x in g}) for g in (q8xc2, c4c4)] == [2, 3]
+
+    searched = []
+
+    def recording(candidates, extends):
+        def checked(images):
+            accepted = extends(images)
+            searched.append((images, accepted))
+            return accepted
+
+        return orbits.search_images(candidates, checked)
+
+    monkeypatch.setattr(perms, "search_images", recording)
+    for g, h in ((q8xc2, c4c4), (c4c4, q8xc2)):
+        searched.clear()
+        assert not is_isomorphic(g, h)
+        rejected = [images for images, accepted in searched if not accepted]
+        assert rejected and len(rejected) < len(searched)
+        for images, _accepted in searched:
+            assert not any(images[: len(r)] == r for r in rejected if len(r) < len(images))
+    # The prime ring has no generators: the empty tuple of images is the answer.
+    assert orbits.search_images([], lambda images: False)

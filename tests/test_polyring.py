@@ -319,17 +319,30 @@ def test_geometric_factors():
     quadratic = Poly([1, 1, 1])
     p = poly_product([Poly([-3]), one_minus(-2), one_minus(-2), one_minus(5), Poly([0, 1]), quadratic])
     assert geometric_factors(p) == (3, [(-2, 2), (5, 1)], Poly([0, -1]) * quadratic)
-    # A root above the square root of the leading coefficient, here a large
-    # prime, is found as the cofactor of a small divisor.
+    # Large roots, and roots above the square root of the leading coefficient.
     big = 1000000007
     assert geometric_factors(one_minus(big)) == (1, [(big, 1)], ONE)
     p = one_minus(-2) * one_minus(big) * one_minus(10007) * one_minus(10009)
     assert geometric_factors(p) == (1, [(-2, 1), (10007, 1), (10009, 1), (big, 1)], ONE)
-    # A linear part needs no divisor scan, whatever its coefficient.
     huge = 10**16 + 61
     assert geometric_factors(one_minus(1) * one_minus(huge)) == (1, [(1, 1), (huge, 1)], ONE)
     assert geometric_factors(Poly([2, 2 * huge])) == (2, [(-huge, 1)], ONE)
     assert geometric_factors(Poly([2, huge])) == (1, [], Poly([2, huge]))
+    # The vector-configuration denominator at q = huge, m = 2: lead q^3.
+    p = poly_product([one_minus(1), one_minus(huge), one_minus(huge**2)])
+    assert geometric_factors(p) == (1, [(1, 1), (huge, 1), (huge**2, 1)], ONE)
+
+
+def test_geometric_factors_recovers_seeded_products():
+    rng = random.Random(11)
+    for _ in range(200):
+        ks = [rng.choice([1, -1]) * rng.randint(1, 10**rng.randint(1, 7)) for _ in range(rng.randint(1, 5))]
+        ks += rng.sample([-2, -1, 1, 2, 3], rng.randint(0, 3))
+        rest = poly_product(rng.sample([Poly([0, 1]), Poly([1, 0, 5])], rng.randint(0, 2)))
+        c = rng.choice([1, 6, 7])
+        p = poly_product([one_minus(k) for k in ks]).scale(c) * rest
+        expected = sorted((k, ks.count(k)) for k in set(ks))
+        assert geometric_factors(p) == (c, expected, rest)
 
 
 def test_display_strings():
