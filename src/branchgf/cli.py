@@ -185,6 +185,8 @@ def cmd_matrix_alg(args, out) -> int:
 def cmd_configs(args, out) -> int:
     terms = args.terms if args.terms is not None else 6
     if args.kind == "point":
+        if args.q is not None:
+            raise UsageError("--q applies only to --kind vector")
         fn = configs.point_config_gf(args.m)
         emit_ratfun(f"points[m={args.m}]", fn, args.terms, args.format, out)
         rows = [

@@ -15,11 +15,11 @@ resolvent, and plain integer vector iteration of the child counts
 
 The group and module trees are both centralizer towers
 (centralizer_tower), and both key a node by the isomorphism class of its
-running centralizer through one IsoRegistry: fingerprint buckets,
-first-seen tags and a fast path for an element set seen before.  Each
-structure supplies only its same-set key, fingerprint, isomorphism test
-and label prefix, so a key prints as g120.0 for a group or r16.0 for a
-ring.
+running centralizer through one IsoRegistry: size buckets, first-seen
+tags and a fast path for an element set seen before.  Each structure
+supplies only its same-set key, size, isomorphism test and label prefix,
+so a key prints as g120.0 for a group or r16.0 for a ring.  Cheap
+invariants that screen a pair belong to the isomorphism test itself.
 """
 
 from __future__ import annotations
@@ -82,30 +82,31 @@ class BranchingProcess:
 class IsoKey(NamedTuple):
     """Hashable name for an isomorphism class, stable within one registry.
 
-    The fingerprint starts with the structure's size; str gives the label
-    prefix, that size and the first-seen tag, as in g120.0.
+    str gives the label prefix, the structure's size and the first-seen
+    tag, as in g120.0.
     """
 
     prefix: str
-    fingerprint: tuple
+    size: int
     tag: int
 
     def __str__(self) -> str:
-        return f"{self.prefix}{self.fingerprint[0]}.{self.tag}"
+        return f"{self.prefix}{self.size}.{self.tag}"
 
 
 class IsoRegistry:
     """Assigns equal IsoKeys exactly to isomorphic structures, first-seen tags.
 
     A structure whose same-set key was seen before gets its key back with
-    no fingerprint and no isomorphism test; otherwise the isomorphism test
-    runs only against the representatives that share its fingerprint.
-    representatives maps each key to the first structure that got it.  The
-    registry is mutable; confine one instance to one process build.
+    no isomorphism test; otherwise the isomorphism test runs only against
+    the representatives of its size, so the first structure of a size is
+    keyed with no test at all.  representatives maps each key to the
+    first structure that got it.  The registry is mutable; confine one
+    instance to one process build.
     """
 
     def __init__(self):
-        self._by_fingerprint: dict[tuple, list[IsoKey]] = {}
+        self._by_size: dict[int, list[IsoKey]] = {}
         self._by_same_set: dict[Hashable, IsoKey] = {}
         self.representatives: dict[IsoKey, object] = {}
 
@@ -113,19 +114,18 @@ class IsoRegistry:
         self,
         z,
         same_set: Hashable,
-        fingerprint: Callable[[object], tuple],
+        size: int,
         is_isomorphic: Callable[[object, object], bool],
         prefix: str,
     ) -> IsoKey:
-        """Key of z, whose element set same_set names."""
+        """Key of z, whose element set same_set names and has size elements."""
         key = self._by_same_set.get(same_set)
         if key is not None:
             return key
-        fp = fingerprint(z)
-        bucket = self._by_fingerprint.setdefault(fp, [])
+        bucket = self._by_size.setdefault(size, [])
         key = next((k for k in bucket if is_isomorphic(self.representatives[k], z)), None)
         if key is None:
-            key = IsoKey(prefix, fp, len(self.representatives))
+            key = IsoKey(prefix, size, len(self.representatives))
             bucket.append(key)
             self.representatives[key] = z
         self._by_same_set[same_set] = key
@@ -206,20 +206,20 @@ def build_branching(process: BranchingProcess) -> BranchingMatrix:
     )
 
 
-def gf_class(bm: BranchingMatrix, i: int, n_check: int = 6) -> RatFun:
+def gf_class(bm: BranchingMatrix, i: int) -> RatFun:
     """Generating function of the class at (0-based) coordinate i."""
     if not 0 <= i < bm.size:
         raise IndexError(f"class index {i} out of range 0..{bm.size - 1}")
-    return resolvent_column(bm.matrix, n_check)[i]
+    return resolvent_column(bm.matrix)[i]
 
 
-def gf_total(bm: BranchingMatrix, n_check: int = 6) -> RatFun:
+def gf_total(bm: BranchingMatrix) -> RatFun:
     """Generating function of the per-level node totals."""
-    return ratfun_sum(resolvent_column(bm.matrix, n_check))
+    return ratfun_sum(resolvent_column(bm.matrix))
 
 
-def class_gfs(bm: BranchingMatrix, n_check: int = 6) -> list[RatFun]:
-    return resolvent_column(bm.matrix, n_check)
+def class_gfs(bm: BranchingMatrix) -> list[RatFun]:
+    return resolvent_column(bm.matrix)
 
 
 @dataclass(frozen=True)

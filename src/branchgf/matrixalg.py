@@ -6,9 +6,10 @@ n variables - form a self-similar rooted tree exactly as commuting tuples
 in a group do, with the running centralizer subring in the role of the
 centralizer subgroup and unit-group conjugacy in the role of conjugacy.
 States are keyed by unital-ring isomorphism classes through
-RingKeyRegistry, the engine's IsoRegistry with the ring fingerprint and
-isomorphism test, and module_process builds the tree with
-engine.centralizer_tower, as branchgf.commuting does.
+RingKeyRegistry, the engine's IsoRegistry with the subring's size and the
+ring isomorphism test, which screens by the ring fingerprint itself; and
+module_process builds the tree with engine.centralizer_tower, as
+branchgf.commuting does.
 
 Matrices are flat tuples of field elements (ints < q) over a
 branchgf.fields.Fq.  A subring is carried by its reduced row echelon
@@ -366,12 +367,13 @@ def _nilpotency_index(ring: MatRing, a: Mat) -> int:
 
 
 def ring_fingerprint(z: Subalgebra) -> tuple:
-    """Cheap unital-ring isomorphism invariants: size, center size, unit orders.
+    """Cheap isomorphism invariants of unital rings of one size: center
+    size and unit orders.
 
-    They fix the characteristic (by the size), the number of units (the sum
-    of the order counts) and commutativity (center size equal to size).
+    With the size they fix the number of units (the sum of the order
+    counts) and commutativity (center size equal to size).
     """
-    return (z.size, z.center_size, tuple(sorted(Counter(z.unit_orders.values()).items())))
+    return (z.center_size, tuple(sorted(Counter(z.unit_orders.values()).items())))
 
 
 def _word_basis(
@@ -458,17 +460,16 @@ def _element_profile(z: Subalgebra, a: Mat) -> tuple:
 def ring_is_isomorphic(z1: Subalgebra, z2: Subalgebra) -> bool:
     """Decide unital-ring isomorphism by searching images of a generating set.
 
-    Each generator of z1 (none for the prime ring) tries, in sorted order,
-    the elements of z2 with the same element profile; orbits.search_images
-    keeps a prefix of images only while _ring_map_extends accepts it, so
-    one conflict drops every tuple that begins with that prefix.
+    Screens by the size and then ring_fingerprint.  Each generator of z1
+    (none for the prime ring) tries, in sorted order, the elements of z2
+    with the same element profile; orbits.search_images keeps a prefix of
+    images only while _ring_map_extends accepts it, so one conflict drops
+    every tuple that begins with that prefix.
     """
-    if z1.size != z2.size:
+    if z1.size != z2.size or ring_fingerprint(z1) != ring_fingerprint(z2):
         return False
     if z1.ring is z2.ring and z1.basis == z2.basis:
         return True
-    if ring_fingerprint(z1) != ring_fingerprint(z2):
-        return False
     gens = _ring_generators(z1)
     profiles = [_element_profile(z2, b) for b in z2.sorted_elements]
     candidates = [
@@ -506,7 +507,7 @@ class RingKeyRegistry(IsoRegistry):
 
     def key_for(self, z: Subalgebra) -> IsoKey:
         """Key of z; a subring with a basis seen before skips all tests."""
-        return self.lookup(z, z.basis, ring_fingerprint, ring_is_isomorphic, "r")
+        return self.lookup(z, z.basis, z.size, ring_is_isomorphic, "r")
 
 
 # -- the module-counting tree ----------------------------------------------------

@@ -6,15 +6,17 @@ are immutable once built.  Products of permutations already known to be
 valid skip the validation that the public Perm constructor runs.
 Generating sets, conjugation orbits, map extension and the image search
 come from branchgf.orbits, shared with the ring code.  Isomorphism testing
-screens with cheap invariants first (the derived subgroup among them, as
-the normal closure of the commutators of a generating set), then searches
-images of a small generating set, pruned at every failing prefix.
-KeyRegistry keys groups for the tree engine through engine.IsoRegistry,
-which the ring code shares: isomorphic groups get one hashable key with
-a stable per-run tag.  A group whose element set was keyed before is
-answered without any test; only a new element set whose fingerprint
-matches a known group reaches is_isomorphic and its order limit, so the
-tree of S6 runs although S6 itself is above that limit.
+screens by the order and then by cheap invariants (the derived subgroup
+among them, as the normal closure of the commutators of a generating
+set), then searches images of a small generating set, pruned at every
+failing prefix.  KeyRegistry keys groups for the tree engine through
+engine.IsoRegistry, which the ring code shares: isomorphic groups get one
+hashable key with a stable per-run tag.  The registry answers a group
+whose element set it keyed before without any test, and keys the first
+group of an order without computing its invariants; only a new element
+set whose order and invariants match a known group reaches the order
+limit of is_isomorphic, so the tree of S6 runs although S6 itself is
+above that limit.
 """
 
 from __future__ import annotations
@@ -321,12 +323,12 @@ class PermGroup:
 
     @cached_property
     def fingerprint(self) -> tuple:
-        """Cheap isomorphism invariants; equality is necessary, not sufficient.
+        """Cheap isomorphism invariants of groups of one order; equality is
+        necessary, not sufficient.
 
         The sorted class sizes fix the center order and whether G is abelian.
         """
         return (
-            self.order,
             self.element_order_counts,
             tuple(sorted(cls.size for cls in self.conjugacy_classes)),
             self.derived_subgroup_order,
@@ -356,24 +358,24 @@ class PermGroup:
 def is_isomorphic(g: PermGroup, h: PermGroup) -> bool:
     """Decide isomorphism of two groups of order <= ISO_ORDER_LIMIT (512).
 
-    Screens by the invariant fingerprint, settles abelian pairs by their
-    element-order statistics, and otherwise searches (orbits.search_images)
-    images in h of a small generating set of g with matching order and class
-    size, the first one a class representative.  A prefix of images is kept
-    while its extension over the Cayley graph of the subgroup it generates
-    (orbits.extend_map) is conflict-free and injective: with every
-    generator, a bijection onto h, as |g| = |h|, so an isomorphism.
-    Larger groups raise OrderLimitError, even equal ones; KeyRegistry calls
-    this only for a new element set whose fingerprint matches a known group.
+    Screens by the order and then the invariant fingerprint, settles
+    abelian pairs by their element-order statistics, and otherwise searches
+    (orbits.search_images) images in h of a small generating set of g with
+    matching order and class size, the first one a class representative.
+    A prefix of images is kept while its extension over the Cayley graph
+    of the subgroup it generates (orbits.extend_map) is conflict-free and
+    injective: with every generator, a bijection onto h, as |g| = |h|, so
+    an isomorphism.
+    Larger groups whose order and fingerprint agree raise OrderLimitError,
+    even equal ones; KeyRegistry calls this only for a new element set of
+    the order of a known group.
     """
-    if g.order > ISO_ORDER_LIMIT or h.order > ISO_ORDER_LIMIT:
-        raise OrderLimitError(f"isomorphism testing supports order <= {ISO_ORDER_LIMIT}")
-    if g.order != h.order:
+    if g.order != h.order or g.fingerprint != h.fingerprint:
         return False
+    if g.order > ISO_ORDER_LIMIT:
+        raise OrderLimitError(f"isomorphism testing supports order <= {ISO_ORDER_LIMIT}")
     if g.degree == h.degree and g._element_set == h._element_set:
         return True
-    if g.fingerprint != h.fingerprint:
-        return False
     if g.is_abelian:
         # A finite abelian group is determined by its element-order multiset.
         return True
@@ -402,7 +404,7 @@ class KeyRegistry(IsoRegistry):
     def key_for(self, group: PermGroup) -> IsoKey:
         """Key of group; a group with an element set seen before skips all tests."""
         same_set = (group.degree, group._element_set)
-        return self.lookup(group, same_set, operator.attrgetter("fingerprint"), is_isomorphic, "g")
+        return self.lookup(group, same_set, group.order, is_isomorphic, "g")
 
 
 # -- named constructors -------------------------------------------------------

@@ -419,34 +419,26 @@ class RatFun:
     def series(self, n_max: int) -> list[int]:
         """Coefficients c_0..c_n_max of the power-series expansion.
 
-        Computed from the linear recurrence the denominator imposes.  Raises
-        NonIntegerCoefficientError if the expansion leaves the integers
-        (possible only when den(0) != 1).
+        Computed from the linear recurrence the denominator imposes, each
+        step an exact division by den(0).  Raises NonIntegerCoefficientError
+        if the expansion leaves the integers (possible only when den(0) != 1).
         """
         if n_max < 0:
             return []
         num, den = self.num, self.den
         d0 = den[0]
         out: list[int] = []
-        if d0 == 1:
-            for k in range(n_max + 1):
-                c = num[k]
-                for i in range(1, min(k, den.degree) + 1):
-                    c -= den[i] * out[k - i]
-                out.append(c)
-            return out
-        acc: list[Fraction] = []
         for k in range(n_max + 1):
-            c = Fraction(num[k])
+            c = num[k]
             for i in range(1, min(k, den.degree) + 1):
-                c -= den[i] * acc[k - i]
-            c /= d0
-            if c.denominator != 1:
+                c -= den[i] * out[k - i]
+            quotient, remainder = divmod(c, d0)
+            if remainder:
                 raise NonIntegerCoefficientError(
-                    f"coefficient of t^{k} is the non-integer {c}"
+                    f"coefficient of t^{k} is the non-integer {Fraction(c, d0)}"
                 )
-            acc.append(c)
-        return [int(c) for c in acc]
+            out.append(quotient)
+        return out
 
     # -- display ----------------------------------------------------------
 

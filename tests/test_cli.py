@@ -268,6 +268,7 @@ EXIT_CODE_CASES = [
     (["expand", "--num", "1", "--den", "2,1", "--terms", "4"], EXIT_USAGE),
     (["expand", "--num", "1", "--den", "0", "--terms", "4"], EXIT_USAGE),
     (["configs", "--kind", "point", "--m", "-1"], EXIT_USAGE),
+    (["configs", "--kind", "point", "--q", "2", "--m", "2"], EXIT_USAGE),
     (["configs", "--kind", "vector", "--q", "6", "--m", "2"], EXIT_USAGE),
     (["group", "--name", "S3", "--terms", "-1"], EXIT_USAGE),
     (["group", "--name", "S7"], EXIT_USAGE),

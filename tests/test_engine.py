@@ -189,47 +189,43 @@ def test_centralizer_tower_on_subset_lattice():
 class _TranslateRegistry(IsoRegistry):
     """Toy structures: finite sets of integers, isomorphic when translates.
 
-    The fingerprint (the size) is coarser than the classes, and every
-    fingerprint and isomorphism call is recorded.
+    The size buckets are coarser than the classes, and every isomorphism
+    call is recorded.
     """
 
     def __init__(self):
         super().__init__()
-        self.fingerprinted = []
         self.compared = []
-
-    def fingerprint(self, z):
-        self.fingerprinted.append(z)
-        return (len(z),)
 
     def is_translate(self, a, b):
         self.compared.append((a, b))
         return sorted(x - min(a) for x in a) == sorted(x - min(b) for x in b)
 
     def key_for(self, z):
-        return self.lookup(z, frozenset(z), self.fingerprint, self.is_translate, "t")
+        return self.lookup(z, frozenset(z), len(z), self.is_translate, "t")
 
 
 def test_iso_registry_on_translates():
     reg = _TranslateRegistry()
     first = reg.key_for({0, 1})
-    assert first == IsoKey("t", (2,), 0) and str(first) == "t2.0"
-    assert reg.compared == []  # an empty bucket needs no test
+    assert first == IsoKey("t", 2, 0) and str(first) == "t2.0"
+    assert reg.compared == []  # the first structure of a size needs no test
     assert reg.key_for({5, 6}) == first
     assert reg.compared == [({0, 1}, {5, 6})]
     second = reg.key_for({0, 2})
-    assert second == IsoKey("t", (2,), 1)
+    assert second == IsoKey("t", 2, 1)
     third = reg.key_for({0, 1, 2})
-    assert third == IsoKey("t", (3,), 2)  # tags count across buckets, first seen first
-    assert len(reg.compared) == 2  # {0, 1, 2} met no size-2 representative
+    assert third == IsoKey("t", 3, 2)  # tags count across buckets, first seen first
+    assert len(reg.compared) == 2  # the first structure of size 3 met no test
     assert reg.key_for({7, 9}) == second
     assert reg.compared[-2:] == [({0, 1}, {7, 9}), ({0, 2}, {7, 9})]
     assert all(len(a) == len(b) for a, b in reg.compared)
-    # A repeated element set is answered without a fingerprint or a test.
-    calls = len(reg.fingerprinted), len(reg.compared)
+    # A repeated element set is answered without a test.
+    calls = len(reg.compared)
     assert [reg.key_for(z) for z in ({6, 5}, {9, 7}, {2, 1, 0})] == [first, second, third]
-    assert (len(reg.fingerprinted), len(reg.compared)) == calls
+    assert len(reg.compared) == calls
     assert reg.representatives == {first: {0, 1}, second: {0, 2}, third: {0, 1, 2}}
+    assert IsoKey._fields == ("prefix", "size", "tag")
 
 
 def test_group_and_ring_keys_share_one_type():

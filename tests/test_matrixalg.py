@@ -312,10 +312,11 @@ def test_ring_iso_conjugate_subalgebras():
 
 def test_ring_fingerprint_fields():
     ring = MatRing(Fq(2), 2)
-    size, center, unit_orders = ring_fingerprint(_f4_subalgebra(ring))
-    assert size == 4 and unit_orders == ((1, 1), (3, 2))
+    f4 = _f4_subalgebra(ring)
+    center, unit_orders = ring_fingerprint(f4)
+    assert f4.size == 4 and unit_orders == ((1, 1), (3, 2))
     assert sum(count for _order, count in unit_orders) == 3  # units
-    assert center == size  # commutative
+    assert center == f4.size  # commutative
 
 
 def test_module_process_m1():
@@ -492,6 +493,29 @@ def test_element_list_and_null_space_basis_get_one_key(monkeypatch):
 
     monkeypatch.setattr(matrixalg, "ring_fingerprint", no_fingerprint)
     assert (first.key_for(listed), second.key_for(spanned)) == keys
+
+
+def test_ring_fingerprint_only_inside_the_iso_test(monkeypatch):
+    # The registry buckets by size; ring_is_isomorphic alone calls
+    # ring_fingerprint, at most once per side.
+    fingerprint, iso = matrixalg.ring_fingerprint, matrixalg.ring_is_isomorphic
+    per_test, stray, open_tests = [], [], []
+
+    def counting_fingerprint(z):
+        (open_tests[-1] if open_tests else stray).append(z)
+        return fingerprint(z)
+
+    def counting_iso(z1, z2):
+        open_tests.append([])
+        try:
+            return iso(z1, z2)
+        finally:
+            per_test.append(len(open_tests.pop()))
+
+    monkeypatch.setattr(matrixalg, "ring_fingerprint", counting_fingerprint)
+    monkeypatch.setattr(matrixalg, "ring_is_isomorphic", counting_iso)
+    build_branching(module_process(2, 3))
+    assert per_test and max(per_test) <= 2 and stray == []
 
 
 def test_ring_extension_check_matches_reference():

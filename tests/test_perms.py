@@ -1,6 +1,7 @@
 """Permutation kernel: closure, centralizers, conjugacy, isomorphism keys."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -223,12 +224,39 @@ def test_iso_order_limit():
     with pytest.raises(OrderLimitError):
         is_isomorphic(s6, s6)
     # The registry keys a group it has seen by its element set, with no
-    # iso test; only a new element set with a matching fingerprint reaches
-    # is_isomorphic and its order limit.
+    # iso test; only a new element set whose order and fingerprint match a
+    # known group reaches the order limit inside is_isomorphic.
     reg = KeyRegistry()
     assert reg.key_for(s6) == reg.key_for(symmetric_group(6))
     with pytest.raises(OrderLimitError):
         reg.key_for(direct_product(s6, symmetric_group(1)))
+
+
+def test_iso_order_limit_after_the_fingerprint_screen():
+    # Order 720, above the limit, but the fingerprints differ: the screen
+    # answers before the limit is checked.
+    s6 = symmetric_group(6)
+    s3xs5 = direct_product(symmetric_group(3), symmetric_group(5))
+    assert s3xs5.order == s6.order == 720
+    assert not is_isomorphic(s6, s3xs5)
+    with pytest.raises(OrderLimitError):
+        is_isomorphic(s6, s6)
+    reg = KeyRegistry()
+    keys = [reg.key_for(s6), reg.key_for(s3xs5)]
+    assert [str(k) for k in keys] == ["g720.0", "g720.1"]
+
+
+def test_fingerprint_only_for_a_shared_order():
+    # The registry buckets by order, so a representative's fingerprint is
+    # computed exactly when another element set of its order was keyed.
+    reg = KeyRegistry()
+    build_branching(commuting_process(symmetric_group(5), reg))
+    keyed_sets = Counter(key.size for key in reg._by_same_set.values())
+    fingerprinted = {
+        key.size: "fingerprint" in vars(rep) for key, rep in reg.representatives.items()
+    }
+    assert fingerprinted == {size: keyed_sets[size] > 1 for size in fingerprinted}
+    assert {size for size, done in fingerprinted.items() if not done} == {120, 12, 8, 5}
 
 
 def test_key_conjugation_invariance_randomized():

@@ -238,7 +238,12 @@ def test_series_constant():
 
 def test_series_non_integer_coefficient():
     f = RatFun(Poly([1]), Poly([2, -1]))
-    with pytest.raises(NonIntegerCoefficientError):
+    with pytest.raises(NonIntegerCoefficientError, match="t\\^0 is the non-integer 1/2$"):
+        f.series(3)
+    # (2 + 3t)/(2 + t) = 1 + t - t^2/2 + ...: two exact steps, then a remainder.
+    f = RatFun(Poly([2, 3]), Poly([2, 1]))
+    assert f.series(1) == [1, 1]
+    with pytest.raises(NonIntegerCoefficientError, match="t\\^2 is the non-integer -1/2$"):
         f.series(3)
 
 
