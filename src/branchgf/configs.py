@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .engine import BranchingProcess
-from .fields import Fq, _encode, echelon_basis
+from .fields import Fq, echelon_basis, span_values
 from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
 from .polyring import ONE, Poly, RatFun, ratfun_sum
 
@@ -223,23 +223,16 @@ def _vector_list(q: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _gl_action_tables(q: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """For each invertible m x m matrix, its permutation of vector indices."""
+    """For each invertible m x m matrix, its permutation of vector indices:
+    span_values of its columns lists the images of _vector_list in order."""
     field = _field(q)
-    vectors = _vector_list(q, m)
+    index = {v: i for i, v in enumerate(_vector_list(q, m))}
     tables = []
     for mat in itertools.product(range(q), repeat=m * m):
-        rows = [mat[i * m : (i + 1) * m] for i in range(m)]
-        images = []
-        for v in vectors:
-            out = []
-            for i in range(m):
-                acc = 0
-                for j in range(m):
-                    acc = field.add[acc][field.mul[rows[i][j]][v[j]]]
-                out.append(acc)
-            images.append(_encode(out, q))
-        if len(set(images)) == len(vectors):
-            tables.append(tuple(images))
+        columns = [mat[j :: m] for j in range(m)]
+        images = tuple(map(index.__getitem__, span_values(field, columns, m)))
+        if len(set(images)) == len(index):
+            tables.append(images)
     return tuple(tables)
 
 
@@ -286,16 +279,8 @@ def config_orbit_oracle(
 # -- subspaces and the row-space bijection ------------------------------------------
 
 
-def _span_set(field: Fq, gens, width: int, q: int) -> frozenset[tuple[int, ...]]:
-    gens = [g for g in gens if any(g)]
-    span = set()
-    for coeffs in itertools.product(range(q), repeat=len(gens)):
-        vec = (0,) * width
-        for c, g in zip(coeffs, gens):
-            if c:
-                vec = tuple(field.add[a][field.mul[c][b]] for a, b in zip(vec, g))
-        span.add(vec)
-    return frozenset(span)
+def _span_set(field: Fq, gens, width: int) -> frozenset[tuple[int, ...]]:
+    return frozenset(span_values(field, echelon_basis(field, gens), width))
 
 
 def all_subspaces(q: int, n: int) -> set[frozenset[tuple[int, ...]]]:
@@ -305,7 +290,7 @@ def all_subspaces(q: int, n: int) -> set[frozenset[tuple[int, ...]]]:
     spaces: set[frozenset[tuple[int, ...]]] = set()
     for dim in range(n + 1):
         for gens in itertools.combinations(vectors, dim):
-            spaces.add(_span_set(field, gens, n, q))
+            spaces.add(_span_set(field, gens, n))
     return spaces
 
 
@@ -333,7 +318,7 @@ def row_space_bijection_check(
     for rep in reps:
         cols = [vectors[i] for i in rep]  # column j holds vector j of the tuple
         rows = [tuple(cols[j][i] for j in range(n)) for i in range(m)]
-        space = _span_set(field, rows, n, q)
+        space = _span_set(field, rows, n)
         if _subspace_dim(space, q) != len(echelon_basis(field, cols)):
             return False  # row rank must equal column rank
         if space in seen_spaces:

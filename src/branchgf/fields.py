@@ -5,6 +5,8 @@ base-p digits without carry, and multiplication adds discrete logarithms to
 the base of a generator of the nonzero residues.  Span keeps a subspace of
 F_q^n in reduced row echelon form; its basis names the subspace, and over the
 prime subfield (the elements 0..p-1) it spans F_p-vectors with the same tables.
+span_values lists a span in coefficient order, so a linear map is evaluated
+on a whole space from its basis images with one vector addition per element.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import operator
 from functools import partial, reduce
 from typing import Iterable, Sequence
 
-__all__ = ["Fq", "prime_power", "Span", "echelon_basis"]
+__all__ = ["Fq", "prime_power", "Span", "echelon_basis", "span_values"]
 
 # Miller-Rabin to the 13 prime bases 2..41 is exact below PSI_13 (Sorenson
 # and Webster, 2015); a number at or above it that passes all 13 is refused.
@@ -197,3 +199,19 @@ def echelon_basis(field: Fq, vectors: Iterable[Sequence[int]]) -> list:
     """The vectors outside the span of those before them: a basis of the span of all."""
     span = Span(field)
     return [v for v in vectors if span.add(v)]
+
+
+def span_values(field: Fq, vectors: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Every F_q-combination of vectors of length width (no vectors: the zero
+    vector), entry i with the base-q digits of i as coefficients, the first
+    vector's most significant: itertools.product order on the standard basis.
+    Each vector, the last first, multiplies the list by q: block c is c times
+    the vector plus each entry so far."""
+    out = [(0,) * width]
+    for v in reversed(vectors):
+        grown = list(out)
+        for c in range(1, field.q):
+            rows = [field.add[field.mul[c][x]] for x in v]  # rows[j][y] = c * v[j] + y
+            grown += [tuple(map(operator.getitem, rows, e)) for e in out]
+        out = grown
+    return out

@@ -15,10 +15,11 @@ Matrices are flat tuples of field elements (ints < q) over a
 branchgf.fields.Fq.  A subring is carried by its reduced row echelon
 F_q-basis, which names it: a centralizer is the null space of one linear
 map, the isomorphism test is linear algebra over F_p, and element sets
-are built only where unit-group orbits need them.  Ambient rings of up to
-RING_SIZE_LIMIT elements over fields of up to FIELD_SIZE_LIMIT elements
-run (M_3(F_3) and M_2(F_11) among them); others raise SizeLimitError
-before their field is built.  The brute-force oracle module_orbit_counts
+are built only where unit-group orbits need them; linear maps on them are
+evaluated from basis images by fields.span_values.  Ambient rings of up to
+RING_SIZE_LIMIT elements over fields of up to FIELD_SIZE_LIMIT elements run
+(M_3(F_3) and M_2(F_11) among them); others raise SizeLimitError before
+their field is built.  The brute-force oracle module_orbit_counts
 enumerates the same classes with branchgf.orbits, on rings of up to
 ORACLE_SIZE_LIMIT elements.
 """
@@ -28,13 +29,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Iterable, Sequence
 
 from .engine import BranchingProcess, IsoKey, IsoRegistry, build_branching
 from .engine import centralizer_tower, gf_total
 from .errors import ElementNotInAlgebraError, SizeLimitError
-from .fields import Fq, Span, _digits, prime_power
+from .fields import Fq, Span, _digits, prime_power, span_values
 from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, closure, extend_map
 from .orbits import canonical_form, greedy_generators, orbit_partition, search_images
 from .polyring import RatFun
@@ -85,11 +86,6 @@ def mat_mul(field: Fq, a: Mat, b: Mat, m: int) -> Mat:
                 for j in range(m):
                     out[row + j] = add[out[row + j]][mul[aik][b[brow + j]]]
     return tuple(out)
-
-
-def mat_add(field: Fq, a: Mat, b: Mat) -> Mat:
-    add = field.add
-    return tuple(add[x][y] for x, y in zip(a, b))
 
 
 def mat_inv(field: Fq, a: Mat, m: int) -> Mat | None:
@@ -146,6 +142,12 @@ class MatRing:
     def size(self) -> int:
         return self.field.q ** (self.m * self.m)
 
+    @cached_property
+    def standard_basis(self) -> tuple[Mat, ...]:
+        """The matrix units: E_k has a 1 at flat position k and 0 elsewhere."""
+        n = self.m * self.m
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
     def mul(self, a: Mat, b: Mat) -> Mat:
         return mat_mul(self.field, a, b, self.m)
 
@@ -167,11 +169,10 @@ class MatRing:
     def unit_conjugation_tables(self) -> tuple[tuple[int, ...], ...]:
         """Per unit u, the index permutation a -> u a u^-1 over all elements,
         composed from the tables of a generating set: table_ug = table_u o table_g."""
-        idx = self.element_index
         gens = greedy_generators(self.units, self.identity, self.mul, partial(_mult_order, self))
         generator_pairs = [
-            (g, tuple(idx[self.mul(self.mul(g, a), ginv)] for a in self.elements))
-            for g, ginv in zip(gens, map(self.inv, gens))
+            (g, _conjugation_table(self, g, self.standard_basis, self.element_index))
+            for g in gens
         ]
 
         def compose(pair, gen):
@@ -213,8 +214,7 @@ class Subalgebra:
 
     @classmethod
     def full(cls, ring: MatRing) -> "Subalgebra":
-        n = ring.m * ring.m
-        return cls.spanned(ring, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls.spanned(ring, ring.standard_basis)
 
     @cached_property
     def basis(self) -> tuple[Mat, ...]:
@@ -243,14 +243,9 @@ class Subalgebra:
         A combination has its coefficient of the i-th basis row at that
         row's pivot column, and before it only entries fixed by the earlier
         coefficients; so the order of the combinations is the order of
-        their coefficient tuples.
+        their coefficient tuples, the order span_values lists them in.
         """
-        field = self.ring.field
-        out = [self.ring.zero]
-        for b in reversed(self.basis):
-            multiples = [tuple(field.mul[c][x] for x in b) for c in range(1, field.q)]
-            out += [mat_add(field, cb, e) for cb in multiples for e in out]
-        return tuple(out)
+        return tuple(span_values(self.ring.field, self.basis, len(self.ring.zero)))
 
     @cached_property
     def _span(self) -> Span:
@@ -330,19 +325,27 @@ def centralizer_ring(z: Subalgebra, a: Mat) -> Subalgebra:
     return Subalgebra.spanned(ring, tuple(row[n:] for row in span.basis if not any(row[:n])))
 
 
+def _conjugation_table(ring: MatRing, g: Mat, basis: Sequence[Mat], index: dict) -> tuple:
+    """The map x -> g x g^-1 on the span of basis, as indices: entry i is
+    the index of the image of the i-th combination span_values lists."""
+    ginv = ring.inv(g)
+    images = [ring.mul(ring.mul(g, b), ginv) for b in basis]
+    return tuple(map(index.__getitem__, span_values(ring.field, images, len(ring.zero))))
+
+
 def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
-    """Orbits of the unit group acting on z by conjugation: (least rep, size)."""
+    """Orbits of the unit group acting on z by conjugation: (least rep, size),
+    from one index table per generator over z.sorted_elements."""
     ring = z.ring
     # Highest multiplicative order first: keeps conjugation orbits cheap to walk.
-    units = greedy_generators(
+    gens = greedy_generators(
         z.units, ring.identity, ring.mul, lambda u: (z.unit_orders[u], tuple(-c for c in u))
     )
-    gens = [(g, ring.inv(g)) for g in units]
-
-    def conjugate(x: Mat, gen: tuple[Mat, Mat]) -> Mat:
-        return ring.mul(ring.mul(gen[0], x), gen[1])
-
-    return [(min(o), len(o)) for o in orbit_partition(z.sorted_elements, gens, conjugate)]
+    elements = z.sorted_elements
+    index = {x: i for i, x in enumerate(elements)}
+    tables = [_conjugation_table(ring, g, z.basis, index) for g in gens]
+    orbits = orbit_partition(range(len(elements)), tables, lambda i, table: table[i])
+    return [(elements[min(o)], len(o)) for o in orbits]
 
 
 # -- ring isomorphism keys ------------------------------------------------------
@@ -547,25 +550,28 @@ def module_orbit_counts(
     """Brute-force counts of simultaneous-similarity classes of commuting tuples.
 
     Representatives are lexicographic minima over the full unit group, and
-    a prefix is extended only by elements commuting with all its entries.
-    Rings above ORACLE_SIZE_LIMIT elements are refused before anything is
-    built.
+    a prefix is extended only by elements commuting with all its entries,
+    the intersection of their _commutant sets, memoised per element.  Rings
+    above ORACLE_SIZE_LIMIT elements are refused before anything is built.
     """
     _check_sizes(q, m, ORACLE_SIZE_LIMIT, "the brute-force oracle's bound")
     ring = _matrix_ring(q, m)
-    elements = ring.elements
+    commutant = cache(lambda i: _commutant(ring, ring.elements[i]))
 
     def commuting(rep: tuple[int, ...]) -> list[int]:
-        mats = [elements[i] for i in rep]
-        return [
-            i
-            for i, c in enumerate(elements)
-            if all(ring.mul(c, a) == ring.mul(a, c) for a in mats)
-        ]
+        return sorted(set(range(ring.size)).intersection(*map(commutant, rep)))
 
     tables = ring.unit_conjugation_tables
     levels = canonical_levels(n_max, commuting, canonical_form(tables), budget)
     return [len(reps) for reps in levels]
+
+
+def _commutant(ring: MatRing, a: Mat) -> frozenset[int]:
+    """Indices of the elements c of ring with ca = ac: c -> ca - ac is linear,
+    so span_values of its values at the matrix units gives its value at each c."""
+    images = [_commutator(ring, e, a) for e in ring.standard_basis]
+    values = span_values(ring.field, images, len(a))
+    return frozenset(i for i, v in enumerate(values) if not any(v))
 
 
 def module_orbit_oracle(q: int, m: int, n: int, budget: int = DEFAULT_WORK_BUDGET) -> int:

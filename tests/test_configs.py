@@ -5,6 +5,9 @@ import itertools
 import pytest
 
 from branchgf.configs import (
+    _field,
+    _gl_action_tables,
+    _vector_list,
     all_subspaces,
     bell,
     brute_point_orbit_count,
@@ -303,6 +306,60 @@ def test_oracle_budget():
 def test_oracle_rejects_unknown_kind():
     with pytest.raises(ValueError):
         config_orbit_oracle("frobnicate", 2, 2)
+
+
+def test_oracles_on_zero_dimensional_vectors():
+    # F_q^0 has one vector, the empty tuple, so every level has one orbit.
+    assert vector_orbit_counts(2, 0, 3) == ([1, 1, 1, 1], [[1], [1], [1], [1]])
+    assert row_space_bijection_check(2, 0, 2) is True
+
+
+def _looped_gl_action_tables(q, m):
+    # Every matrix applied to every vector, entry by entry, then indexed in
+    # _vector_list; the invertible matrices are those that permute.
+    field = _field(q)
+    vectors = _vector_list(q, m)
+    index = {v: i for i, v in enumerate(vectors)}
+    tables = []
+    for mat in itertools.product(range(q), repeat=m * m):
+        images = []
+        for v in vectors:
+            out = []
+            for i in range(m):
+                acc = 0
+                for j in range(m):
+                    acc = field.add[acc][field.mul[mat[i * m + j]][v[j]]]
+                out.append(acc)
+            images.append(index[tuple(out)])
+        if len(set(images)) == len(vectors):
+            tables.append(tuple(images))
+    return tuple(tables)
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_gl_action_tables_match_entrywise_products(q, m):
+    assert _gl_action_tables(q, m) == _looped_gl_action_tables(q, m)
+
+
+def _looped_subspaces(q, n):
+    # Every subset of at most n vectors, spanned by all coefficient tuples.
+    field = _field(q)
+    spaces = set()
+    for dim in range(n + 1):
+        for gens in itertools.combinations(_vector_list(q, n), dim):
+            span = set()
+            for coeffs in itertools.product(range(q), repeat=dim):
+                vec = (0,) * n
+                for c, g in zip(coeffs, gens):
+                    vec = tuple(field.add[a][field.mul[c][b]] for a, b in zip(vec, g))
+                span.add(vec)
+            spaces.add(frozenset(span))
+    return spaces
+
+
+def test_all_subspaces_matches_coefficient_loop():
+    for q, n in [(2, 3), (3, 2)]:
+        assert all_subspaces(q, n) == _looped_subspaces(q, n)
 
 
 def test_all_subspaces_counts():

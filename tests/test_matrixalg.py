@@ -16,13 +16,13 @@ from branchgf.fixtures import (
     module_gf_dim3_candidates,
     similarity_class_count,
 )
+from branchgf.fields import span_values
 from branchgf.matrixalg import (
     Fq,
     MatRing,
     RingKeyRegistry,
     Subalgebra,
     centralizer_ring,
-    mat_add,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -31,6 +31,7 @@ from branchgf.matrixalg import (
     module_orbit_oracle,
     module_process,
     prime_power,
+    _commutant,
     _element_profile,
     _ring_map_extends,
     _ring_generators,
@@ -40,6 +41,10 @@ from branchgf.matrixalg import (
     unit_conjugacy_classes,
 )
 from branchgf.polyring import ratfun_eq
+
+
+def mat_add(field, a, b):
+    return tuple(field.add[x][y] for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -139,6 +144,37 @@ def test_prime_power_split():
             prime_power(q)
     with pytest.raises(ValueError, match=str(fields.PSI_13)):
         prime_power(fields.PSI_13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_span_values_of_the_standard_basis_is_product_order(q, n):
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert span_values(Fq(q), basis, n) == list(itertools.product(range(q), repeat=n))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_span_values_entry_i_has_the_digits_of_i(q):
+    # Entry i is sum_k d_k * vectors[k], with d_0 d_1 ... the base-q digits
+    # of i, most significant first; the vectors need not be independent.
+    field = Fq(q)
+    rng = random.Random(q)
+    for count in range(4):
+        width = rng.randint(1, 4)
+        vectors = [tuple(rng.randrange(q) for _ in range(width)) for _ in range(count)]
+        values = span_values(field, vectors, width)
+        assert len(values) == q**count
+        for i, value in enumerate(values):
+            digits = [i // q ** (count - 1 - k) % q for k in range(count)]
+            expected = [0] * width
+            for d, v in zip(digits, vectors):
+                expected = [field.add[x][field.mul[d][y]] for x, y in zip(expected, v)]
+            assert value == tuple(expected)
+
+
+def test_span_values_of_no_vectors_is_one_zero_vector():
+    for width in (0, 1, 3):
+        assert span_values(Fq(3), [], width) == [(0,) * width]
 
 
 def test_f4_structure():
@@ -373,6 +409,11 @@ def test_module_oracle_matches_series():
     assert module_gf(3, 2).series(2) == module_orbit_counts(3, 2, 2)
 
 
+def test_module_oracle_on_zero_by_zero_matrices():
+    # M_0(F_2) has one element, the empty matrix, which is its 0 and its 1.
+    assert module_orbit_counts(2, 0, 3) == [1, 1, 1, 1]
+
+
 def test_module_oracle_budget():
     with pytest.raises(WorkBudgetError, match="level 1 of 2"):
         module_orbit_counts(2, 2, 2, budget=5)
@@ -600,3 +641,64 @@ def test_unit_conjugation_tables_need_generators_of_the_unit_group(monkeypatch):
     monkeypatch.setattr(matrixalg, "greedy_generators", lambda *args: ((0, 1, 1, 1),))
     with pytest.raises(ArithmeticError, match="do not generate"):
         MatRing(Fq(2), 2).unit_conjugation_tables
+
+
+def _looped_sorted_elements(z):
+    # The former Subalgebra.sorted_elements: every multiple of each basis
+    # row, the last first, added to everything listed so far.
+    field = z.ring.field
+    out = [z.ring.zero]
+    for b in reversed(z.basis):
+        multiples = [tuple(field.mul[c][x] for x in b) for c in range(1, field.q)]
+        out += [mat_add(field, cb, e) for cb in multiples for e in out]
+    return tuple(out)
+
+
+def _element_conjugacy_classes(z):
+    # The former unit_conjugacy_classes: the orbits of z's elements under
+    # conjugation by the same generators, each product formed as matrices.
+    ring = z.ring
+    gens = matrixalg.greedy_generators(
+        z.units, ring.identity, ring.mul, lambda u: (z.unit_orders[u], tuple(-c for c in u))
+    )
+
+    def conjugate(x, g):
+        return ring.mul(ring.mul(g, x), ring.inv(g))
+
+    return [
+        (min(o), len(o)) for o in matrixalg.orbit_partition(z.sorted_elements, gens, conjugate)
+    ]
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (4, 2), (2, 3)])
+def test_span_based_element_lists_and_classes_match_element_loops(q, m):
+    for z in _reached_subrings(q, 1, random.Random(q * m), m):
+        assert z.sorted_elements == _looped_sorted_elements(z)
+        assert unit_conjugacy_classes(z) == _element_conjugacy_classes(z)
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (4, 2), (2, 3)])
+def test_oracle_commutant_matches_element_filter(q, m):
+    ring = MatRing(Fq(q), m)
+    for a in ring.elements:
+        commuting = {i for i, c in enumerate(ring.elements) if ring.mul(c, a) == ring.mul(a, c)}
+        assert _commutant(ring, a) == commuting
+
+
+def test_module_mat_mul_count(monkeypatch):
+    # Linear maps on element lists are evaluated from basis images: the
+    # oracle's commutants and conjugation tables and the tree's unit
+    # classes form no product per element.  Per-element products took
+    # 17610 and 6182 calls.
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return mat_mul(*args)
+
+    monkeypatch.setattr(matrixalg, "mat_mul", counting)
+    assert module_orbit_counts(2, 3, 2) == [1, 14, 144]
+    assert calls[0] <= 1514
+    calls[0] = 0
+    assert module_gf(2, 3).series(3) == [1, 14, 144, 1296]
+    assert calls[0] <= 3894
