@@ -10,18 +10,23 @@ numbers of the second kind, Bell numbers, Gaussian binomial coefficients
 and their q-Bell (subspace-total) analog.
 
 Closed forms follow the convention fixed by the enumeration oracles
-(built on branchgf.orbits): the type-i class generating function is
-t^i * prod_{r=1..i} 1/(1-r*t) in the point case and
-t^i * prod_{r=0..i} 1/(1-q^r*t) in the vector case.
+(built on branchgf.orbits): with rate(r) the children a type-r node keeps
+at type r (r for points, q^r for vectors), the type-i class generating
+function is t^i * prod_{r=0..i} 1/(1-rate(r)*t).  Their sums, the total
+generating functions, grow fast with m: point_config_gf admits m up to
+POINT_M_LIMIT, and vector_config_gf bounds the size of its denominator by
+VECTOR_SIZE_LIMIT, so the largest admitted case of each takes about a
+second; others raise SizeLimitError before any polynomial is built.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .engine import BranchingProcess
+from .errors import SizeLimitError
 from .fields import Fq, echelon_basis, span_values
 from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
 from .polyring import ONE, Poly, RatFun, ratfun_sum
@@ -29,12 +34,10 @@ from .polyring import ONE, Poly, RatFun, ratfun_sum
 __all__ = [
     "point_config_process",
     "point_config_gf",
-    "point_type_gf",
     "stirling2",
     "bell",
     "vector_config_process",
     "vector_config_gf",
-    "vector_type_gf",
     "gaussian_binom",
     "q_stirling",
     "q_bell",
@@ -64,42 +67,60 @@ def _type_chain(m: int, stay: Callable[[int], int]) -> BranchingProcess:
     return BranchingProcess(root=0, children=children, label=lambda i: f"type {i}")
 
 
+# Set so that the largest admitted closed form of each kind, printed by
+# `configs`, takes about a second on a 2-vCPU x86-64 VM with Python 3.11:
+# points m = 150 in 0.8 s, vectors q = 10^16 + 61, m = 18 in 0.6 s and
+# q = 3317044064679887385961813, m = 16 in 1.0 s.
+POINT_M_LIMIT = 150
+VECTOR_SIZE_LIMIT = 200_000
+
+
+def _point_rate(i: int) -> int:
+    return i
+
+
 def point_config_process(m: int) -> BranchingProcess:
     """Chain process for point configurations: a type-i node has i children
     of type i and, below m, one child of type i+1."""
-    return _type_chain(m, lambda i: i)
+    return _type_chain(m, _point_rate)
 
 
 def vector_config_process(q: int, m: int) -> BranchingProcess:
     """Chain process for vector configurations: a type-i node has q^i
     children of type i and, below m, one child of type i+1."""
-    return _type_chain(m, lambda i: q**i)
+    return _type_chain(m, partial(pow, q))
 
 
-def point_type_gf(i: int) -> RatFun:
-    """Generating function of type-i point configurations (any m >= i)."""
+def _type_gf(i: int, rate: Callable[[int], int]) -> RatFun:
+    """Generating function of type-i configurations (any m >= i) in the
+    chain whose type-r nodes keep rate(r) children of type r."""
     den = ONE
-    for r in range(1, i + 1):
-        den = den * Poly([1, -r])
+    for r in range(i + 1):
+        den = den * Poly([1, -rate(r)])
     return RatFun(Poly([0] * i + [1]), den)
 
 
 def point_config_gf(m: int) -> RatFun:
     """Total point-configuration generating function, as the type sum."""
-    return ratfun_sum(point_type_gf(i) for i in range(m + 1))
-
-
-def vector_type_gf(i: int, q: int) -> RatFun:
-    """Generating function of type-i vector configurations (any m >= i)."""
-    den = ONE
-    for r in range(0, i + 1):
-        den = den * Poly([1, -(q**r)])
-    return RatFun(Poly([0] * i + [1]), den)
+    if m > POINT_M_LIMIT:
+        raise SizeLimitError(f"{m} points; the supported bound is m <= {POINT_M_LIMIT}")
+    return ratfun_sum(_type_gf(i, _point_rate) for i in range(m + 1))
 
 
 def vector_config_gf(q: int, m: int) -> RatFun:
-    """Total vector-configuration generating function, as the type sum."""
-    return ratfun_sum(vector_type_gf(i, q) for i in range(m + 1))
+    """Total vector-configuration generating function, as the type sum.
+
+    Its size rule bounds (m + 1) * m(m + 1)/2 * ceil(log2 q), the bits the
+    denominator prod_{r=0..m} (1 - q^r t) would hold if each of its m + 1
+    coefficients were as long as the last, q^(m(m+1)/2).
+    """
+    size = (m + 1) * (m * (m + 1) // 2) * (q - 1).bit_length()
+    if size > VECTOR_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"q = {q}, m = {m} gives (m + 1) * m(m + 1)/2 * ceil(log2 q) = {size}; "
+            f"the supported bound is {VECTOR_SIZE_LIMIT}"
+        )
+    return ratfun_sum(_type_gf(i, partial(pow, q)) for i in range(m + 1))
 
 
 # -- triangles -------------------------------------------------------------------

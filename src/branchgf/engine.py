@@ -48,7 +48,8 @@ __all__ = [
 
 ClassKey = Hashable
 
-DEFAULT_STATE_LIMIT = 10_000
+# More distinct classes than this stop discovery; read at call time.
+STATE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ class BranchingProcess:
     root: ClassKey
     children: Callable[[ClassKey], Mapping[ClassKey, int]]
     label: Callable[[ClassKey], str] | None = None
-    state_limit: int = DEFAULT_STATE_LIMIT
 
     def child_counts(self, key: ClassKey) -> dict[ClassKey, int]:
         raw = self.children(key)
@@ -167,7 +167,7 @@ class BranchingMatrix:
 
 def _state_explosion(process: BranchingProcess, keys: list[ClassKey]) -> StateExplosionError:
     return StateExplosionError(
-        f"more than {process.state_limit} classes discovered: {len(keys)} classes "
+        f"more than {STATE_LIMIT} classes discovered: {len(keys)} classes "
         f"found so far, the last {process.label_for(keys[-1])!r}"
     )
 
@@ -175,7 +175,7 @@ def _state_explosion(process: BranchingProcess, keys: list[ClassKey]) -> StateEx
 def build_branching(process: BranchingProcess) -> BranchingMatrix:
     """Discover the reachable classes breadth-first and tabulate the matrix.
 
-    Raises StateExplosionError when more than process.state_limit distinct
+    Raises StateExplosionError when more than STATE_LIMIT distinct
     keys appear, which signals either a keying that is not self-similar or
     a limit set too low.
     """
@@ -189,7 +189,7 @@ def build_branching(process: BranchingProcess) -> BranchingMatrix:
         counts = process.child_counts(key)
         for child in counts:
             if child not in index:
-                if len(order) >= process.state_limit:
+                if len(order) >= STATE_LIMIT:
                     raise _state_explosion(process, order)
                 index[child] = len(order)
                 order.append(child)
@@ -253,7 +253,7 @@ def bfs_level_counts(process: BranchingProcess, depth: int) -> LevelCounts:
             for child, mult in counts.items():
                 ci = index.get(child)
                 if ci is None:
-                    if len(keys) >= process.state_limit:
+                    if len(keys) >= STATE_LIMIT:
                         raise _state_explosion(process, keys)
                     ci = index[child] = len(keys)
                     keys.append(child)

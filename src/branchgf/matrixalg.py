@@ -12,31 +12,36 @@ module_process builds the tree with engine.centralizer_tower, as
 branchgf.commuting does.
 
 Matrices are flat tuples of field elements (ints < q) over a
-branchgf.fields.Fq.  A subring is carried by its reduced row echelon
-F_q-basis, which names it: a centralizer is the null space of one linear
-map, the isomorphism test is linear algebra over F_p, and element sets
-are built only where unit-group orbits need them; linear maps on them are
-evaluated from basis images by fields.span_values.  Ambient rings of up to
-RING_SIZE_LIMIT elements over fields of up to FIELD_SIZE_LIMIT elements run
-(M_3(F_3) and M_2(F_11) among them); others raise SizeLimitError before
-their field is built.  The brute-force oracle module_orbit_counts
-enumerates the same classes with branchgf.orbits, on rings of up to
-ORACLE_SIZE_LIMIT elements.
+branchgf.fields.Fq.  MatRing is only the ambient M_m(F_q): arithmetic and
+matrix units.  Every subring, the whole ring Subalgebra.full included, is
+a Subalgebra made from its reduced row echelon F_q-basis, which names it:
+a centralizer is the null space of one linear map, the isomorphism test
+is linear algebra over F_p, and element lists are built only where
+unit-group orbits need them; linear maps on them are evaluated from basis
+images by fields.span_values.  Unit generators and their conjugation
+tables are chosen in one place, Subalgebra.unit_generators, for the
+tree's unit classes and the oracle's unit tables alike.  Ambient rings of
+up to RING_SIZE_LIMIT elements over fields of up to FIELD_SIZE_LIMIT
+elements run (M_3(F_3) and M_2(F_11) among them); others raise
+SizeLimitError before their field is built.  The brute-force oracle
+module_orbit_counts enumerates the same classes with branchgf.orbits, on
+rings of up to ORACLE_SIZE_LIMIT elements; it reads the full subring's
+elements, units and unit tables, but nothing of the tree's centralizers,
+classes or keys.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from functools import cache, cached_property, partial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .engine import BranchingProcess, IsoKey, IsoRegistry, build_branching
 from .engine import centralizer_tower, gf_total
 from .errors import ElementNotInAlgebraError, SizeLimitError
 from .fields import Fq, Span, _digits, prime_power, span_values
-from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, closure, extend_map
+from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, extend_map
 from .orbits import canonical_form, greedy_generators, orbit_partition, search_images
 from .polyring import RatFun
 
@@ -48,6 +53,7 @@ __all__ = [
     "RingKeyRegistry",
     "centralizer_ring",
     "unit_conjugacy_classes",
+    "unit_conjugation_tables",
     "module_process",
     "module_gf",
     "module_orbit_counts",
@@ -121,7 +127,9 @@ def _check_sizes(
 
 
 class MatRing:
-    """The full matrix ring M_m(F_q) with indexed element enumeration."""
+    """The full matrix ring M_m(F_q) as an ambient context: its arithmetic
+    and matrix units.  Its elements, units and unit tables are those of
+    Subalgebra.full."""
 
     def __init__(self, field: Fq, m: int):
         _check_sizes(field.q, m)
@@ -129,14 +137,6 @@ class MatRing:
         self.m = m
         self.identity = mat_identity(m)
         self.zero = mat_zero(m)
-
-    @cached_property
-    def elements(self) -> tuple[Mat, ...]:
-        return tuple(itertools.product(range(self.field.q), repeat=self.m * self.m))
-
-    @cached_property
-    def element_index(self) -> dict[Mat, int]:
-        return {a: i for i, a in enumerate(self.elements)}
 
     @property
     def size(self) -> int:
@@ -161,29 +161,6 @@ class MatRing:
             return a
         return tuple(d for x in a for d in _digits(x, field.p, field.k))
 
-    @cached_property
-    def units(self) -> tuple[Mat, ...]:
-        return tuple(a for a in self.elements if mat_inv(self.field, a, self.m) is not None)
-
-    @cached_property
-    def unit_conjugation_tables(self) -> tuple[tuple[int, ...], ...]:
-        """Per unit u, the index permutation a -> u a u^-1 over all elements,
-        composed from the tables of a generating set: table_ug = table_u o table_g."""
-        gens = greedy_generators(self.units, self.identity, self.mul, partial(_mult_order, self))
-        generator_pairs = [
-            (g, _conjugation_table(self, g, self.standard_basis, self.element_index))
-            for g in gens
-        ]
-
-        def compose(pair, gen):
-            (u, table_u), (g, table_g) = pair, gen
-            return self.mul(u, g), tuple(map(table_u.__getitem__, table_g))
-
-        tables = extend_map((self.identity, tuple(range(self.size))), generator_pairs, compose)
-        if tables is None or len(tables) != len(self.units):
-            raise ArithmeticError("the unit generators do not generate the unit group")
-        return tuple(tables[u] for u in self.units)
-
     def __repr__(self) -> str:
         return f"MatRing(F_{self.field.q}, m={self.m})"
 
@@ -192,45 +169,17 @@ class Subalgebra:
     """Unital subring of a matrix ring, carried by its F_q-basis.
 
     The basis is in reduced row echelon form, so it names the subring:
-    equal subrings have equal bases.  A subalgebra is made from its
-    element set, which must be closed (basis raises ValueError when it is
-    not closed under addition), or by spanned from a basis; the element set
-    is then built only when asked for (units, orbits, generators).
+    equal subrings have equal bases.  The element list is built only when
+    asked for (units, orbits, generators).
     """
 
-    def __init__(self, ring: MatRing, elements: Iterable[Mat]):
+    def __init__(self, ring: MatRing, basis: tuple[Mat, ...]):
         self.ring = ring
-        self.elements: frozenset[Mat] = frozenset(elements)
-        if ring.zero not in self.elements or ring.identity not in self.elements:
-            raise ValueError("a unital subring must contain 0 and 1")
-
-    @classmethod
-    def spanned(cls, ring: MatRing, basis: tuple[Mat, ...]) -> "Subalgebra":
-        """The subring whose reduced row echelon F_q-basis is basis."""
-        z = cls.__new__(cls)
-        z.ring = ring
-        z.basis = basis
-        return z
+        self.basis = basis
 
     @classmethod
     def full(cls, ring: MatRing) -> "Subalgebra":
-        return cls.spanned(ring, ring.standard_basis)
-
-    @cached_property
-    def basis(self) -> tuple[Mat, ...]:
-        """Reduced row echelon F_q-basis of the element set, which must be
-        closed under addition: q**len(basis) == len(elements) holds exactly
-        when the set is the whole span."""
-        span = Span(self.ring.field)
-        for a in self.elements:
-            span.add(a)
-        if self.ring.field.q ** len(span) != len(self.elements):
-            raise ValueError("element set is not closed under addition")
-        return span.basis
-
-    @cached_property
-    def elements(self) -> frozenset[Mat]:
-        return frozenset(self.sorted_elements)
+        return cls(ring, ring.standard_basis)
 
     @property
     def size(self) -> int:
@@ -246,6 +195,10 @@ class Subalgebra:
         their coefficient tuples, the order span_values lists them in.
         """
         return tuple(span_values(self.ring.field, self.basis, len(self.ring.zero)))
+
+    @cached_property
+    def element_index(self) -> dict[Mat, int]:
+        return {x: i for i, x in enumerate(self.sorted_elements)}
 
     @cached_property
     def _span(self) -> Span:
@@ -264,7 +217,7 @@ class Subalgebra:
         for a in self.sorted_elements:
             ainv = self.ring.inv(a)
             if ainv is not None:
-                if ainv not in self.elements:
+                if ainv not in self.element_index:
                     raise ArithmeticError(
                         "unit inverse escaped the subalgebra; the set is not a subring"
                     )
@@ -288,6 +241,18 @@ class Subalgebra:
                 for j, y in enumerate(powers, 1):
                     orders.setdefault(y, len(powers) // math.gcd(j, len(powers)))
         return {u: orders[u] for u in self.units}
+
+    @cached_property
+    def unit_generators(self) -> tuple[tuple[Mat, tuple[int, ...]], ...]:
+        """Generators of the unit group, each with its conjugation table
+        over sorted_elements.  Highest multiplicative order first: keeps
+        conjugation orbits cheap to walk."""
+        ring = self.ring
+        gens = greedy_generators(
+            self.units, ring.identity, ring.mul,
+            lambda u: (self.unit_orders[u], tuple(-c for c in u)),
+        )
+        return tuple((g, _conjugation_table(self, g)) for g in gens)
 
     @cached_property
     def center_size(self) -> int:
@@ -322,41 +287,46 @@ def centralizer_ring(z: Subalgebra, a: Mat) -> Subalgebra:
     span = Span(ring.field)
     for b in z.basis:
         span.add(_commutator(ring, a, b) + b)
-    return Subalgebra.spanned(ring, tuple(row[n:] for row in span.basis if not any(row[:n])))
+    return Subalgebra(ring, tuple(row[n:] for row in span.basis if not any(row[:n])))
 
 
-def _conjugation_table(ring: MatRing, g: Mat, basis: Sequence[Mat], index: dict) -> tuple:
-    """The map x -> g x g^-1 on the span of basis, as indices: entry i is
-    the index of the image of the i-th combination span_values lists."""
+def _conjugation_table(z: Subalgebra, g: Mat) -> tuple[int, ...]:
+    """The map x -> g x g^-1 on z, as indices into z.sorted_elements: it is
+    linear, so span_values of the images of the basis lists its values."""
+    ring = z.ring
     ginv = ring.inv(g)
-    images = [ring.mul(ring.mul(g, b), ginv) for b in basis]
-    return tuple(map(index.__getitem__, span_values(ring.field, images, len(ring.zero))))
+    images = [ring.mul(ring.mul(g, b), ginv) for b in z.basis]
+    values = span_values(ring.field, images, len(ring.zero))
+    return tuple(map(z.element_index.__getitem__, values))
 
 
 def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
     """Orbits of the unit group acting on z by conjugation: (least rep, size),
-    from one index table per generator over z.sorted_elements."""
-    ring = z.ring
-    # Highest multiplicative order first: keeps conjugation orbits cheap to walk.
-    gens = greedy_generators(
-        z.units, ring.identity, ring.mul, lambda u: (z.unit_orders[u], tuple(-c for c in u))
-    )
+    from the generator tables over z.sorted_elements."""
     elements = z.sorted_elements
-    index = {x: i for i, x in enumerate(elements)}
-    tables = [_conjugation_table(ring, g, z.basis, index) for g in gens]
+    tables = [table for _g, table in z.unit_generators]
     orbits = orbit_partition(range(len(elements)), tables, lambda i, table: table[i])
     return [(elements[min(o)], len(o)) for o in orbits]
 
 
+def unit_conjugation_tables(z: Subalgebra) -> tuple[tuple[int, ...], ...]:
+    """Per unit u of z, the index permutation x -> u x u^-1 of
+    z.sorted_elements, composed from the generator tables:
+    table_ug = table_u o table_g."""
+    ring = z.ring
+
+    def compose(pair, gen):
+        (u, table_u), (g, table_g) = pair, gen
+        return ring.mul(u, g), tuple(map(table_u.__getitem__, table_g))
+
+    start = (ring.identity, tuple(range(z.size)))
+    tables = extend_map(start, z.unit_generators, compose)
+    if tables is None or len(tables) != len(z.units):
+        raise ArithmeticError("the unit generators do not generate the unit group")
+    return tuple(tables[u] for u in z.units)
+
+
 # -- ring isomorphism keys ------------------------------------------------------
-
-
-def _mult_order(ring: MatRing, u: Mat) -> int:
-    n, x = 1, u
-    while x != ring.identity:
-        x = ring.mul(x, u)
-        n += 1
-    return n
 
 
 def _nilpotency_index(ring: MatRing, a: Mat) -> int:
@@ -555,13 +525,13 @@ def module_orbit_counts(
     above ORACLE_SIZE_LIMIT elements are refused before anything is built.
     """
     _check_sizes(q, m, ORACLE_SIZE_LIMIT, "the brute-force oracle's bound")
-    ring = _matrix_ring(q, m)
-    commutant = cache(lambda i: _commutant(ring, ring.elements[i]))
+    full = Subalgebra.full(_matrix_ring(q, m))
+    commutant = cache(lambda i: _commutant(full.ring, full.sorted_elements[i]))
 
     def commuting(rep: tuple[int, ...]) -> list[int]:
-        return sorted(set(range(ring.size)).intersection(*map(commutant, rep)))
+        return sorted(set(range(full.size)).intersection(*map(commutant, rep)))
 
-    tables = ring.unit_conjugation_tables
+    tables = unit_conjugation_tables(full)
     levels = canonical_levels(n_max, commuting, canonical_form(tables), budget)
     return [len(reps) for reps in levels]
 

@@ -301,25 +301,19 @@ class PermGroup:
         """|G'|, with G' the normal closure of the commutators of a generating set.
 
         The generators commute modulo that closure, so it contains G'; it is
-        generated by commutators, so it lies in G'.  It is normal once every
-        conjugate of its generators by a generator of G lies in it.
+        generated by commutators, so it lies in G'.  It is one closure from
+        the identity under right products by those commutators and
+        conjugation by the generators: that set is closed under conjugation
+        by G, so x h c h^-1 = h ((h^-1 x h) c) h^-1 lies in it for every
+        conjugate h c h^-1 of a commutator, and it is the normal closure.
         """
         gens = self.small_generating_set
-        normal_gens = sorted(
-            {a.inverse() * b.inverse() * a * b for a, b in itertools.combinations(gens, 2)}
-            - {self.identity}
-        )
-        subgroup = closure(self.identity, normal_gens, operator.mul)
-        pending = list(normal_gens)
-        while pending:
-            x = pending.pop()
-            for g in gens:
-                y = g.conjugate(x)
-                if y not in subgroup:
-                    normal_gens.append(y)
-                    pending.append(y)
-                    subgroup = closure(self.identity, normal_gens, operator.mul)
-        return len(subgroup)
+        commutators = {
+            a.inverse() * b.inverse() * a * b for a, b in itertools.combinations(gens, 2)
+        }
+        steps = [lambda x, c=c: x * c for c in commutators - {self.identity}]
+        steps += [g.conjugate for g in gens]
+        return len(closure(self.identity, steps, lambda x, step: step(x)))
 
     @cached_property
     def fingerprint(self) -> tuple:

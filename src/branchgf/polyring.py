@@ -126,14 +126,6 @@ class Poly:
     def scale(self, k: int) -> "Poly":
         return Poly([k * c for c in self.coeffs])
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = ONE
-        for _ in range(n):
-            result = result * self
-        return result
-
     # -- content / gcd ----------------------------------------------------
 
     def content(self) -> int:
@@ -379,14 +371,6 @@ class RatFun:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
-
-    @classmethod
-    def from_int(cls, n: int) -> "RatFun":
-        return cls(Poly([n]))
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "RatFun":
-        return cls(Poly([q.numerator]), Poly([q.denominator]))
 
     # -- field arithmetic -------------------------------------------------
 

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from branchgf import cli, commuting
+from branchgf import cli, commuting, configs
 from branchgf.cli import (
     EXIT_LIMIT,
     EXIT_MISMATCH,
@@ -117,6 +117,27 @@ def test_stretch_error_states_the_size_rule(capsys):
             err = capsys.readouterr().err
             assert rule in err
             assert "stretch" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,rule",
+    [
+        (["--kind", "point", "--m", "151"], "151 points; the supported bound is m <= 150"),
+        (["--kind", "point", "--m", "100000"], "the supported bound is m <= 150"),
+        (["--kind", "vector", "--q", "2", "--m", "74"], "= 208125; the supported bound is 200000"),
+        (["--kind", "vector", "--q", "10000000000000061", "--m", "30"],
+         "q = 10000000000000061, m = 30 gives (m + 1) * m(m + 1)/2 * ceil(log2 q) = 778410"),
+    ],
+)
+def test_configs_size_rules_exit_3_before_any_polynomial(argv, rule, monkeypatch, capsys):
+    def no_type_gf(*args):
+        raise AssertionError("a type gf built for a refused case")
+
+    monkeypatch.setattr(configs, "_type_gf", no_type_gf)
+    status, _ = run_cli(["configs", *argv])
+    assert status == EXIT_LIMIT
+    err = capsys.readouterr().err
+    assert rule in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("q,m", [(4, 2), (2, 3)])
@@ -279,6 +300,10 @@ EXIT_CODE_CASES = [
     (["matrix-alg", "--q", "3", "--m", "3", "--stretch"], EXIT_OK),
     (["matrix-alg", "--q", "1009", "--m", "1"], EXIT_LIMIT),
     (["matrix-alg", "--q", "127", "--m", "2"], EXIT_LIMIT),
+    (["configs", "--kind", "point", "--m", "151"], EXIT_LIMIT),
+    (["configs", "--kind", "point", "--m", "100000"], EXIT_LIMIT),
+    (["configs", "--kind", "vector", "--q", "2", "--m", "74"], EXIT_LIMIT),
+    (["configs", "--kind", "vector", "--q", "10000000000000061", "--m", "30"], EXIT_LIMIT),
     (["group", "--name", "S6xS6xS6"], EXIT_LIMIT),
     (["group", "--name", "D300"], EXIT_LIMIT),
     (["verify", "--suite", "oracles", "--budget", "0"], EXIT_LIMIT),

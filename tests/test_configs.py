@@ -1,12 +1,15 @@
 """Point/vector configurations, Stirling and Gaussian triangles, oracles."""
 
 import itertools
+from functools import partial
 
 import pytest
 
 from branchgf.configs import (
     _field,
     _gl_action_tables,
+    _point_rate,
+    _type_gf,
     _vector_list,
     all_subspaces,
     bell,
@@ -16,7 +19,6 @@ from branchgf.configs import (
     point_config_gf,
     point_config_process,
     point_orbit_counts,
-    point_type_gf,
     q_bell,
     q_stirling,
     row_space_bijection_check,
@@ -24,10 +26,10 @@ from branchgf.configs import (
     vector_config_gf,
     vector_config_process,
     vector_orbit_counts,
-    vector_type_gf,
 )
 from branchgf.engine import bfs_level_counts, build_branching, gf_class, gf_total, verify_tree
-from branchgf.errors import WorkBudgetError
+from branchgf import configs
+from branchgf.errors import SizeLimitError, WorkBudgetError
 from branchgf.polyring import ONE, Poly, RatFun, one_minus, ratfun_eq, ratfun_sum
 
 
@@ -65,12 +67,12 @@ def test_point_class_gf_is_type_product():
     # Coordinate i of the resolvent is t^i * prod_{r=1..i} 1/(1-r*t).
     bm = build_branching(point_config_process(4))
     for i in range(5):
-        assert gf_class(bm, i) == point_type_gf(i)
+        assert gf_class(bm, i) == _type_gf(i, _point_rate)
 
 
 def test_point_type_series_are_stirling_columns():
     for i in range(5):
-        series = point_type_gf(i).series(9)
+        series = _type_gf(i, _point_rate).series(9)
         assert series == [stirling2(n, i) for n in range(10)]
 
 
@@ -189,16 +191,34 @@ def test_closed_forms_match_engine_past_brute_force(process, closed_form):
     assert gf_total(build_branching(process())) == closed_form()
 
 
+def test_config_size_rules_are_checked_before_any_type_gf(monkeypatch):
+    # An admitted case reaches _type_gf and a refused one does not.  The
+    # vector bound is (m + 1) * m(m + 1)/2 * ceil(log2 q) <= 200000.
+    def no_type_gf(*args):
+        raise AssertionError("type gf built")
+
+    monkeypatch.setattr(configs, "_type_gf", no_type_gf)
+    for admitted in (lambda: point_config_gf(150), lambda: vector_config_gf(2, 73),
+                     lambda: vector_config_gf(10**16 + 61, 18)):
+        with pytest.raises(AssertionError, match="type gf built"):
+            admitted()
+    with pytest.raises(SizeLimitError, match="the supported bound is m <= 150"):
+        point_config_gf(151)
+    for q, m in ((2, 74), (10**16 + 61, 19)):
+        with pytest.raises(SizeLimitError, match="the supported bound is 200000"):
+            vector_config_gf(q, m)
+
+
 def test_vector_class_gf_is_type_product():
     bm = build_branching(vector_config_process(2, 3))
     for i in range(4):
-        assert gf_class(bm, i) == vector_type_gf(i, 2)
+        assert gf_class(bm, i) == _type_gf(i, partial(pow, 2))
 
 
 def test_vector_type_series_are_q_stirling_columns():
     for q in (2, 3):
         for i in range(4):
-            series = vector_type_gf(i, q).series(8)
+            series = _type_gf(i, partial(pow, q)).series(8)
             assert series == [q_stirling(n, i, q) for n in range(9)]
 
 

@@ -85,10 +85,9 @@ def test_depth_zero():
     assert counts.totals == (1,)
 
 
-def test_state_explosion():
-    process = BranchingProcess(
-        root=0, children=lambda k: {k + 1: 1}, state_limit=50
-    )
+def test_state_explosion(monkeypatch):
+    monkeypatch.setattr(branchgf.engine, "STATE_LIMIT", 50)
+    process = BranchingProcess(root=0, children=lambda k: {k + 1: 1})
     progress = "50 classes found so far, the last '49'"
     with pytest.raises(StateExplosionError, match=progress):
         build_branching(process)

@@ -11,7 +11,7 @@ import pytest
 from branchgf import fields, orbits
 from branchgf.cli import parse_group_name
 from branchgf.configs import _gl_action_tables
-from branchgf.matrixalg import _matrix_ring
+from branchgf.matrixalg import Subalgebra, _matrix_ring, unit_conjugation_tables
 from branchgf.perms import Perm, symmetric_group
 
 
@@ -114,7 +114,7 @@ def test_greedy_generators_pinned(name):
 @pytest.mark.parametrize(
     "tables",
     [
-        lambda: _matrix_ring(3, 2).unit_conjugation_tables,
+        lambda: unit_conjugation_tables(Subalgebra.full(_matrix_ring(3, 2))),
         lambda: symmetric_group(4).conjugation_tables,
         lambda: _gl_action_tables(3, 2),
     ],

@@ -383,14 +383,6 @@ def test_randomized_normalization_invariants():
         assert g == ONE or (f.num.is_zero and f.den == ONE)
 
 
-def test_scalar_constructors():
-    from fractions import Fraction
-
-    assert RatFun.from_int(5) == RatFun(Poly([5]))
-    third = RatFun.from_fraction(Fraction(2, 6))
-    assert third.num == Poly([1]) and third.den == Poly([3])
-
-
 def test_randomized_add_commutative_associative():
     rng = random.Random(5)
     for _ in range(300):
