@@ -13,7 +13,6 @@ from .engine import (
     BranchingProcess,
     bfs_level_counts,
     build_branching,
-    gf_class,
     gf_total,
     render_dot,
     verify_tree,
@@ -31,17 +30,15 @@ from .errors import (
     WorkBudgetError,
     ZeroDenominatorError,
 )
-from .polyring import Poly, RatFun, ratfun_eq, resolvent_column
+from .polyring import Poly, RatFun, resolvent_column
 
 __all__ = [
     "Poly",
     "RatFun",
-    "ratfun_eq",
     "resolvent_column",
     "BranchingProcess",
     "BranchingMatrix",
     "build_branching",
-    "gf_class",
     "gf_total",
     "bfs_level_counts",
     "verify_tree",

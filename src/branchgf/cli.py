@@ -28,6 +28,7 @@ from .errors import (
     NonIntegerCoefficientError,
     NonUnitConstantTermError,
     ResourceLimitError,
+    SizeLimitError,
     ZeroDenominatorError,
 )
 from .orbits import DEFAULT_WORK_BUDGET
@@ -39,7 +40,7 @@ from .perms import (
     symmetric_group,
     wreath_c2_s2,
 )
-from .polyring import Poly, RatFun, ratfun_eq
+from .polyring import Poly, RatFun
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -133,15 +134,28 @@ def _strings(values) -> list[str]:
     return [str(c) for c in values]
 
 
+def _check_printable(*rows: Sequence[int]) -> None:
+    """Raise SizeLimitError, before anything is printed, when an integer in rows
+    has more decimal digits than Python converts to text."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max((abs(c) for row in rows for c in row), default=0) >= 10**limit:
+        raise SizeLimitError(
+            f"a value to print has more than {limit} decimal digits, Python's limit "
+            "for converting an integer to text (sys.get_int_max_str_digits())"
+        )
+
+
 def emit_ratfun(name: str, fn: RatFun, terms: int | None, fmt: str, out) -> None:
+    series = None if terms is None else fn.series(terms)
+    _check_printable(fn.num.coeffs, fn.den.coeffs, series or ())
     if fmt == "records":
-        series = {} if terms is None else {"series": _strings(fn.series(terms))}
+        extra = {} if series is None else {"series": _strings(series)}
         _emit_record(out, "ratfun", name=name, num=_strings(fn.num.coeffs),
-                     den=_strings(fn.den.coeffs), display=str(fn), **series)
+                     den=_strings(fn.den.coeffs), display=str(fn), **extra)
     else:
         print(f"{name} = {fn}", file=out)
-        if terms is not None:
-            print(f"  coefficients 0..{terms}: {fn.series(terms)}", file=out)
+        if series is not None:
+            print(f"  coefficients 0..{terms}: {series}", file=out)
 
 
 def parse_ratfun_record(line: str) -> RatFun:
@@ -187,8 +201,7 @@ def cmd_configs(args, out) -> int:
     if args.kind == "point":
         if args.q is not None:
             raise UsageError("--q applies only to --kind vector")
-        fn = configs.point_config_gf(args.m)
-        emit_ratfun(f"points[m={args.m}]", fn, args.terms, args.format, out)
+        name, fn = f"points[m={args.m}]", configs.point_config_gf(args.m)
         rows = [
             [configs.stirling2(n, i) for i in range(args.m + 1)]
             for n in range(terms + 1)
@@ -197,15 +210,14 @@ def cmd_configs(args, out) -> int:
     else:
         if args.q is None:
             raise UsageError("--kind vector requires --q")
-        fn = configs.vector_config_gf(args.q, args.m)
-        emit_ratfun(
-            f"vectors[q={args.q},m={args.m}]", fn, args.terms, args.format, out
-        )
+        name, fn = f"vectors[q={args.q},m={args.m}]", configs.vector_config_gf(args.q, args.m)
         rows = [
             [configs.q_stirling(n, i, args.q) for i in range(args.m + 1)]
             for n in range(terms + 1)
         ]
         label = "subspace counts S_q(n,i)"
+    _check_printable(*rows)
+    emit_ratfun(name, fn, args.terms, args.format, out)
     if args.format == "records":
         _emit_record(out, "type-triangle", kind=args.kind, rows=[_strings(row) for row in rows])
     else:
@@ -221,6 +233,7 @@ def cmd_expand(args, out) -> int:
         coeffs = fn.series(args.terms)
     except (ZeroDenominatorError, NonUnitConstantTermError, NonIntegerCoefficientError) as exc:
         raise UsageError(f"no integer power series for this --den: {exc}") from exc
+    _check_printable(fn.num.coeffs, fn.den.coeffs, coeffs)
     if args.format == "records":
         _emit_record(out, "series", num=_strings(fn.num.coeffs), den=_strings(fn.den.coeffs),
                      series=_strings(coeffs))
@@ -239,7 +252,7 @@ def _verify_paper_tables(out) -> list[str]:
         expected = fixtures.fixture_ratfun(fixtures.TUPLE_ORBIT_GF[m])
         via_elements = commuting.burnside_gf(group)
         via_partitions = commuting.symmetric_burnside_gf(m)
-        ok = ratfun_eq(via_elements, expected) and ratfun_eq(via_partitions, expected)
+        ok = via_elements == expected and via_partitions == expected
         print(f"tuple-orbit gf S{m}: {'ok' if ok else 'MISMATCH'}", file=out)
         if not ok:
             failures.append(
@@ -250,7 +263,7 @@ def _verify_paper_tables(out) -> list[str]:
         group = symmetric_group(m)
         expected = fixtures.fixture_ratfun(fixtures.COMMUTING_ORBIT_GF[m])
         got = commuting.commuting_gf(group)
-        ok = ratfun_eq(got, expected)
+        ok = got == expected
         print(f"commuting-orbit gf S{m}: {'ok' if ok else 'MISMATCH'}", file=out)
         if not ok:
             failures.append(f"S{m} commuting-orbit: expected {expected}, got {got}")
@@ -303,7 +316,7 @@ def _report_dim3_reading(computed: RatFun, out) -> list[str]:
     matches = [
         name
         for name, fixture in fixtures.module_gf_dim3_candidates(2).items()
-        if ratfun_eq(computed, fixtures.fixture_ratfun(fixture))
+        if computed == fixtures.fixture_ratfun(fixture)
     ]
     print(
         f"dim-3 closed form: computed {computed}; supports candidate(s): "

@@ -32,7 +32,6 @@ __all__ = [
     "zlambda",
     "symmetric_burnside_gf",
     "commuting_orbit_counts",
-    "commuting_orbit_oracle",
     "DEFAULT_WORK_BUDGET",
 ]
 
@@ -146,9 +145,3 @@ def commuting_orbit_counts(
     levels = canonical_levels(n_max, centralizing, canonical_form(tables), budget)
     return [len(reps) for reps in levels]
 
-
-def commuting_orbit_oracle(
-    group: PermGroup, n: int, budget: int = DEFAULT_WORK_BUDGET
-) -> int:
-    """Number of orbits of commuting n-tuples under simultaneous conjugation."""
-    return commuting_orbit_counts(group, n, budget)[n]

@@ -38,7 +38,6 @@ __all__ = [
     "IsoRegistry",
     "centralizer_tower",
     "build_branching",
-    "gf_class",
     "gf_total",
     "class_gfs",
     "bfs_level_counts",
@@ -56,9 +55,8 @@ STATE_LIMIT = 10_000
 class BranchingProcess:
     """Root class key plus the children-multiset function.
 
-    children(key) must be deterministic and may return either a mapping
-    key -> count or an iterable of keys with repetition.  label, when
-    given, renders a key for display.
+    children(key) must be deterministic and return a mapping key -> count.
+    label, when given, renders a key for display.
     """
 
     root: ClassKey
@@ -66,11 +64,7 @@ class BranchingProcess:
     label: Callable[[ClassKey], str] | None = None
 
     def child_counts(self, key: ClassKey) -> dict[ClassKey, int]:
-        raw = self.children(key)
-        if isinstance(raw, Mapping):
-            counts = dict(raw)
-        else:
-            counts = dict(Counter(raw))
+        counts = self.children(key)
         if any(n < 0 for n in counts.values()):
             raise ValueError("child multiplicities must be non-negative")
         return {k: n for k, n in counts.items() if n > 0}
@@ -206,13 +200,6 @@ def build_branching(process: BranchingProcess) -> BranchingMatrix:
     )
 
 
-def gf_class(bm: BranchingMatrix, i: int) -> RatFun:
-    """Generating function of the class at (0-based) coordinate i."""
-    if not 0 <= i < bm.size:
-        raise IndexError(f"class index {i} out of range 0..{bm.size - 1}")
-    return resolvent_column(bm.matrix)[i]
-
-
 def gf_total(bm: BranchingMatrix) -> RatFun:
     """Generating function of the per-level node totals."""
     return ratfun_sum(resolvent_column(bm.matrix))
@@ -275,7 +262,7 @@ def verify_tree(process: BranchingProcess, depth: int) -> bool:
     """
     bm = build_branching(process)
     counts = bfs_level_counts(process, depth)
-    gfs = resolvent_column(bm.matrix, n_check=0)
+    gfs = class_gfs(bm)
     by_key = {key: gfs[i].series(depth) for i, key in enumerate(bm.keys)}
     for key in counts.keys:
         expected = list(counts.counts_for(key))
@@ -295,7 +282,7 @@ def denominators_divide_det(bm: BranchingMatrix) -> bool:
             for i in range(n)
         ]
     )
-    for entry in resolvent_column(bm.matrix, n_check=0):
+    for entry in class_gfs(bm):
         g = poly_gcd(det, entry.den)
         if g != entry.den and g != -entry.den:
             return False

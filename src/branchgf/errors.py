@@ -43,7 +43,7 @@ class OrderLimitError(ResourceLimitError):
 
 
 class SizeLimitError(ResourceLimitError):
-    """Ring size exceeds the supported bound for the requested operation."""
+    """A ring, a configuration or a printed integer exceeds its size rule."""
 
 
 class WorkBudgetError(ResourceLimitError):

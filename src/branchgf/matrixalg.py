@@ -57,7 +57,6 @@ __all__ = [
     "module_process",
     "module_gf",
     "module_orbit_counts",
-    "module_orbit_oracle",
 ]
 
 # The tree's ambient rings M_m(F_q); fields F_q on their own (q x q tables);
@@ -543,6 +542,3 @@ def _commutant(ring: MatRing, a: Mat) -> frozenset[int]:
     values = span_values(ring.field, images, len(a))
     return frozenset(i for i, v in enumerate(values) if not any(v))
 
-
-def module_orbit_oracle(q: int, m: int, n: int, budget: int = DEFAULT_WORK_BUDGET) -> int:
-    return module_orbit_counts(q, m, n, budget)[n]

@@ -198,10 +198,9 @@ class ConjClass(NamedTuple):
 class PermGroup:
     """Immutable permutation group given by its full, sorted element list."""
 
-    def __init__(self, degree: int, elements: Sequence[Perm], generators: Sequence[Perm] = ()):
+    def __init__(self, degree: int, elements: Sequence[Perm]):
         self.degree = degree
         self.elements: tuple[Perm, ...] = tuple(sorted(set(elements)))
-        self.generators: tuple[Perm, ...] = tuple(generators)
         if not self.elements:
             raise ValueError("a group needs at least the identity")
 
@@ -217,7 +216,7 @@ class PermGroup:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
         elements = closure(Perm.identity(degree), generators, operator.mul, order_limit)
-        return cls(degree, list(elements), generators)
+        return cls(degree, list(elements))
 
     @classmethod
     def trivial(cls, degree: int = 1) -> "PermGroup":
@@ -450,9 +449,7 @@ def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
         for a in g.elements
         for b in h.elements
     ]
-    gens = [Perm(list(a.images) + list(range(shift, degree))) for a in g.generators]
-    gens += [Perm(list(range(shift)) + [shift + x for x in b.images]) for b in h.generators]
-    return PermGroup(degree, elements, gens)
+    return PermGroup(degree, elements)
 
 
 def wreath_c2_s2() -> PermGroup:
@@ -462,4 +459,4 @@ def wreath_c2_s2() -> PermGroup:
         parse_cycles("(3,4)", 4),
         parse_cycles("(1,3)(2,4)", 4),
     ]
-    return PermGroup.from_generators(4, gens, order_limit=8)
+    return PermGroup.from_generators(4, gens)

@@ -17,8 +17,13 @@ When a few evaluation points all fail that test, the primitive PRS decides.
 The module also provides the resolvent computation: the first column of
 (I - B*t)^-1 for a non-negative integer matrix B, obtained by block forward
 substitution over the strongly connected components of B's class graph
-(Tarjan 1972).  Fraction-free (Bareiss 1968) elimination runs only inside
-cyclic components, one solve each, so all arithmetic stays in Z[t].
+(Tarjan 1972), parents first.  Each component is solved once by one
+fraction-free (Bareiss 1968) elimination, so all arithmetic stays in Z[t].
+Its right-hand side is built from the reduced gfs of the classes that feed
+it, over the lcm of their denominators; that lcm times the component's
+determinant is the denominator of its entries, and the component writes
+no other entry.  There is no shared denominator to cancel again.  One lcm
+rule, _lcm, serves the resolvent and ratfun_sum.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .errors import (
 __all__ = [
     "Poly",
     "RatFun",
-    "ratfun_eq",
     "ratfun_sum",
     "geometric_factors",
     "resolvent_column",
@@ -388,7 +392,7 @@ class RatFun:
 
     def __eq__(self, other) -> bool:
         # Canonical form makes structural equality the same as cross
-        # multiplication; ratfun_eq exists for unreduced comparisons.
+        # multiplication.
         return isinstance(other, RatFun) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
@@ -447,21 +451,21 @@ class RatFun:
         return f"{num_s}/({poly_str(self.den)})"
 
 
-def ratfun_eq(a: RatFun, b: RatFun) -> bool:
-    """Equality by cross multiplication (robust to unreduced inputs)."""
-    return a.num * b.den == b.num * a.den
-
-
 def ratfun_sum(terms: Iterable[RatFun]) -> RatFun:
-    """Sum over the lcm of the denominators, reduced once; poly_gcd runs only
-    for a denominator that neither divides the lcm so far nor is its multiple."""
+    """Sum over the lcm of the denominators, reduced once."""
     terms = list(terms)
-    den = ONE
-    for term in terms:
-        if not _divides(term.den, den):
-            den = (term.den if _divides(den, term.den)
-                   else den * term.den.divexact(poly_gcd(den, term.den)))
+    den = _lcm(x.den for x in terms)
     return RatFun(sum((x.num * den.divexact(x.den) for x in terms), ZERO), den)
+
+
+def _lcm(polys: Iterable[Poly]) -> Poly:
+    """Lcm of polynomials with positive constant terms; poly_gcd runs only for
+    one that neither divides the lcm so far nor is its multiple."""
+    out = ONE
+    for p in polys:
+        if not _divides(p, out):
+            out = p if _divides(out, p) else out * p.divexact(poly_gcd(out, p))
+    return out
 
 
 def _divides(d: Poly, p: Poly) -> bool:
@@ -544,20 +548,20 @@ def _components_from(root: int, succ: Sequence[Sequence[int]]) -> list[list[int]
     return components[::-1]
 
 
-def resolvent_column(
-    b: Sequence[Sequence[int]], n_check: int = 6
-) -> list[RatFun]:
+def resolvent_column(b: Sequence[Sequence[int]]) -> list[RatFun]:
     """First column of (I - B*t)^-1 as exact rational functions.
 
     Block forward substitution over the strongly connected components of
     the class graph (edge j -> i when b[i][j] != 0) that the root reaches,
-    parents first; unreached classes get 0.  Entries are N_i / D, D the
-    product of the component determinants so far (constant term 1).  Row i
-    of a component has right-hand side [i == 0] + t * sum b[i][j]*N_j over
-    j outside it (D = 1 at the root's, the first), and its determinant
-    multiplies D and the earlier N_j.  When n_check > 0 the result is
-    verified against n_check steps of the integer iteration B^n e_1, an
-    independent identity that must hold for any correct inverse.
+    parents first; unreached classes get 0.  Each component is solved once,
+    on the reduced gfs of the classes that feed it, and writes only its own
+    entries; there is no shared denominator.  With den the lcm of those
+    gfs' denominators (1 at the root's component), row i has right-hand
+    side [i == 0] + t * sum b[i][j] * num_j * (den / den_j), and one
+    fraction-free solve gives det * x_i, so class i's gf is
+    det * x_i / (den * det), reduced.  The column is checked against six
+    steps of the integer iteration B^n e_1, an independent identity that
+    must hold for any correct inverse.
     """
     n = len(b)
     if any(len(row) != n for row in b):
@@ -566,11 +570,15 @@ def resolvent_column(
         raise ValueError("branching matrix entries must be non-negative")
     preds = [list(compress(range(n), row)) for row in b]  # the j with b[i][j] != 0
     succ = [list(compress(range(n), column)) for column in zip(*b)]
-    nums, den = [ZERO] * n, ONE
+    column = [RatFun(ZERO)] * n
     for block in _components_from(0, succ) if n else ():
+        # The block's own entries are still 0, so they add nothing here, and
+        # den is 1 in the root's block, the first.
+        den = _lcm(column[j].den for i in block for j in preds[i])
         a = []
-        for i in block:  # the block's own N_j are still 0
-            acc = sum((nums[j].scale(b[i][j]) for j in preds[i]), ZERO)
+        for i in block:
+            acc = sum((column[j].num.scale(b[i][j]) * den.divexact(column[j].den)
+                       for j in preds[i]), ZERO)
             a.append([Poly([int(i == c), -b[i][c]]) for c in block])
             a[-1].append(Poly([int(i == 0), *acc.coeffs]))
         # One fraction-free solve; leading minors of I - B*t have constant
@@ -578,30 +586,32 @@ def resolvent_column(
         k = len(block)
         _bareiss_eliminate(a, k)
         det = a[k - 1][k - 1]
-        if det != ONE:
-            nums = [x * det if x else x for x in nums]
-            den = den * det
-        nums[block[-1]] = a[k - 1][k]
-        for r in range(k - 2, -1, -1):  # det * x is in Z[t] by Cramer's rule
-            acc = sum((a[r][c] * nums[block[c]] for c in range(r + 1, k)), ZERO)
-            nums[block[r]] = (det * a[r][k] - acc).divexact(a[r][r])
-    column = [RatFun(x, den) for x in nums]
-    if n_check > 0:
-        _check_against_iteration(b, column, n_check)
+        nums = [ZERO] * k  # det * x_r, in Z[t] by Cramer's rule
+        nums[k - 1] = a[k - 1][k]
+        for r in range(k - 2, -1, -1):
+            acc = sum((a[r][c] * nums[c] for c in range(r + 1, k)), ZERO)
+            nums[r] = (det * a[r][k] - acc).divexact(a[r][r])
+        den = den * det
+        for i, x in zip(block, nums):
+            column[i] = RatFun(x, den)
+    _check_against_iteration(b, preds, column)
     return column
 
 
+# Steps of B^n e_1 every resolvent column is checked against.
+_CHECK_STEPS = 6
+
+
 def _check_against_iteration(
-    b: Sequence[Sequence[int]], column: Sequence[RatFun], depth: int
+    b: Sequence[Sequence[int]], preds: Sequence[Sequence[int]], column: Sequence[RatFun]
 ) -> None:
-    n = len(b)
-    series = [entry.series(depth) for entry in column]
-    v = [1] + [0] * (n - 1)
-    for step in range(depth + 1):
-        for i in range(n):
-            if series[i][step] != v[i]:
+    series = [entry.series(_CHECK_STEPS) for entry in column]
+    v = [1] + [0] * (len(b) - 1)
+    for step in range(_CHECK_STEPS + 1):
+        for i, row in enumerate(series):
+            if row[step] != v[i]:
                 raise ArithmeticError(
                     "resolvent column disagrees with the matrix-power iteration "
                     f"at coordinate {i}, step {step}"
                 )
-        v = [sum(b[i][j] * v[j] for j in range(n)) for i in range(n)]
+        v = [sum(b[i][j] * v[j] for j in js) for i, js in enumerate(preds)]

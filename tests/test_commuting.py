@@ -10,7 +10,6 @@ from branchgf.commuting import (
     burnside_gf_elementwise,
     commuting_gf,
     commuting_orbit_counts,
-    commuting_orbit_oracle,
     commuting_process,
     partitions,
     symmetric_burnside_gf,
@@ -32,7 +31,7 @@ from branchgf.perms import (
     symmetric_group,
     wreath_c2_s2,
 )
-from branchgf.polyring import Poly, RatFun, one_minus, ratfun_eq
+from branchgf.polyring import Poly, RatFun, one_minus
 
 
 def matrices_match_up_to_reordering(a, b) -> bool:
@@ -74,7 +73,7 @@ def test_abelian_group_single_class():
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_commuting_gf_matches_reference(m):
     got = commuting_gf(symmetric_group(m))
-    assert ratfun_eq(got, fixture_ratfun(COMMUTING_ORBIT_GF[m]))
+    assert got == fixture_ratfun(COMMUTING_ORBIT_GF[m])
 
 
 def test_commuting_gf_abelian_is_geometric():
@@ -82,12 +81,12 @@ def test_commuting_gf_abelian_is_geometric():
     for k in (3, 4, 6):
         group = cyclic_group(k)
         assert commuting_gf(group) == RatFun(Poly([1]), one_minus(k))
-        assert ratfun_eq(commuting_gf(group), burnside_gf(group))
+        assert commuting_gf(group) == burnside_gf(group)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_burnside_gf_matches_reference(m):
-    assert ratfun_eq(burnside_gf(symmetric_group(m)), fixture_ratfun(TUPLE_ORBIT_GF[m]))
+    assert burnside_gf(symmetric_group(m)) == fixture_ratfun(TUPLE_ORBIT_GF[m])
 
 
 def test_burnside_gf_trivial_group():
@@ -96,12 +95,12 @@ def test_burnside_gf_trivial_group():
 
 def test_burnside_elementwise_agrees():
     for group in (symmetric_group(3), symmetric_group(4), dihedral_group(4)):
-        assert ratfun_eq(burnside_gf(group), burnside_gf_elementwise(group))
+        assert burnside_gf(group) == burnside_gf_elementwise(group)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_partition_formula_agrees_with_group_sum(m):
-    assert ratfun_eq(symmetric_burnside_gf(m), burnside_gf(symmetric_group(m)))
+    assert symmetric_burnside_gf(m) == burnside_gf(symmetric_group(m))
 
 
 def test_partitions_lexicographic():
@@ -129,12 +128,12 @@ def test_class_sizes_match_cycle_type_formula():
 
 
 def test_oracle_trivial_cases():
-    assert commuting_orbit_oracle(symmetric_group(3), 0) == 1
-    assert commuting_orbit_oracle(symmetric_group(4), 1) == 5
+    assert commuting_orbit_counts(symmetric_group(3), 0)[0] == 1
+    assert commuting_orbit_counts(symmetric_group(4), 1)[1] == 5
 
 
 def test_oracle_s3_pairs():
-    assert commuting_orbit_oracle(symmetric_group(3), 2) == 8
+    assert commuting_orbit_counts(symmetric_group(3), 2)[2] == 8
 
 
 def test_oracle_matches_series_small_groups():

@@ -25,7 +25,6 @@ from branchgf.polyring import (
     one_minus,
     poly_gcd,
     poly_product,
-    ratfun_eq,
     ratfun_sum,
     resolvent_column,
 )
@@ -214,7 +213,7 @@ def test_ratfun_partial_fraction_sum():
     expected = RatFun(
         Poly([1, -8, 14]), poly_product([one_minus(2), one_minus(3), one_minus(6)])
     )
-    assert ratfun_eq(total, expected)
+    assert total == expected
 
 
 def test_ratfun_monomial_product():
@@ -255,13 +254,6 @@ def test_series_roundtrip_recurrence():
     for k in range(13):
         acc = sum(den[i] * coeffs[k - i] for i in range(min(k, den.degree) + 1))
         assert acc == num[k]
-
-
-def test_ratfun_eq_unreduced_and_unequal():
-    a = RatFun(Poly([1]), one_minus(2))
-    b = RatFun(Poly([1, 1]), Poly([1, 1]) * one_minus(2))
-    assert ratfun_eq(a, b)
-    assert not ratfun_eq(a, RatFun(Poly([1]), one_minus(1)))
 
 
 def test_resolvent_two_class_example():
@@ -387,9 +379,9 @@ def test_randomized_add_commutative_associative():
     rng = random.Random(5)
     for _ in range(300):
         a, b, c = (_random_ratfun(rng) for _ in range(3))
-        assert ratfun_eq(a + b, b + a)
-        assert ratfun_eq((a + b) + c, a + (b + c))
-        assert ratfun_eq(a * b, b * a)
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a * b == b * a
 
 
 def test_ratfun_sum_matches_left_fold():
@@ -533,7 +525,7 @@ def test_resolvent_and_sum_multiplication_count(monkeypatch):
 
     monkeypatch.setattr(Poly, "__mul__", counting_mul)
     ratfun_sum(resolvent_column(matrix))
-    assert 0 < calls < 50_000
+    assert 0 < calls <= 300
 
 
 def test_resolvent_long_path_without_recursion():
@@ -541,5 +533,5 @@ def test_resolvent_long_path_without_recursion():
     b = [[0] * n for _ in range(n)]
     for i in range(n - 1):
         b[i + 1][i] = 1
-    column = resolvent_column(b, n_check=0)
+    column = resolvent_column(b)
     assert column == [RatFun(Poly([0] * i + [1])) for i in range(n)]
