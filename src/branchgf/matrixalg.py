@@ -15,23 +15,25 @@ Matrices are flat tuples of field elements (ints < q) over a
 branchgf.fields.Fq.  MatRing is only the ambient M_m(F_q): arithmetic and
 matrix units.  Every subring, the whole ring Subalgebra.full included, is
 a Subalgebra made from its reduced row echelon F_q-basis, which names it:
-a centralizer is the null space of one linear map, the isomorphism test
-is linear algebra over F_p, and element lists are built only where
-unit-group orbits need them; linear maps on them are evaluated from basis
-images by fields.span_values.  Unit generators and their conjugation
-tables are chosen in one place, Subalgebra.unit_generators, for the
-tree's unit classes and the oracle's unit tables alike.  Ambient rings of
-up to RING_SIZE_LIMIT elements over fields of up to FIELD_SIZE_LIMIT
-elements run (M_3(F_3) and M_2(F_11) among them); others raise
-SizeLimitError before their field is built.  The brute-force oracle
-module_orbit_counts enumerates the same classes with branchgf.orbits, on
-rings of up to ORACLE_SIZE_LIMIT elements; it reads the full subring's
-elements, units and unit tables, but nothing of the tree's centralizers,
-classes or keys.
+the center is the null space of one linear map, and so is the centralizer
+of a non-central element, the isomorphism test is linear algebra over
+F_p, and element lists are built only where unit-group orbits need them;
+linear maps on them are evaluated from basis images by
+fields.span_values.  Units are read off determinants, with no inverse per
+element.  Unit generators and their conjugation tables are chosen in one
+place, Subalgebra.unit_generators, for the tree's unit classes and the
+oracle's unit tables alike.  Ambient rings of up to RING_SIZE_LIMIT
+elements over fields of up to FIELD_SIZE_LIMIT elements run (M_3(F_3) and
+M_2(F_11) among them); others raise SizeLimitError before their field is
+built.  The brute-force oracle module_orbit_counts enumerates the same
+classes with branchgf.orbits, on rings of up to ORACLE_SIZE_LIMIT
+elements; it reads the full subring's elements, units and unit tables,
+but nothing of the tree's centralizers, classes or keys.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from functools import cache, cached_property, partial
@@ -111,6 +113,33 @@ def mat_inv(field: Fq, a: Mat, m: int) -> Mat | None:
     return tuple(aug[i][m + j] for i in range(m) for j in range(m))
 
 
+@cache
+def _leibniz_terms(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per permutation s of range(m): the flat positions i*m + s(i) of its
+    entries, and its number of inversions mod 2 (1 when s is odd)."""
+    pairs = list(itertools.combinations(range(m), 2))
+    return tuple(
+        (tuple(i * m + j for i, j in enumerate(s)), sum(s[i] > s[j] for i, j in pairs) % 2)
+        for s in itertools.permutations(range(m))
+    )
+
+
+def mat_det(field: Fq, a: Mat, m: int) -> int:
+    """Determinant as the Leibniz sum of m! products, each cut at its first
+    zero factor: cheaper than elimination at the m of the admitted rings."""
+    add, mul, neg = field.add, field.mul, field.neg
+    det = 0
+    for positions, odd in _leibniz_terms(m):
+        term = 1
+        for k in positions:
+            term = mul[term][a[k]]
+            if not term:
+                break
+        else:
+            det = add[det][neg[term] if odd else term]
+    return det
+
+
 def _check_sizes(
     q: int, m: int, limit: int = RING_SIZE_LIMIT, rule: str = "the supported bound"
 ) -> None:
@@ -149,9 +178,6 @@ class MatRing:
 
     def mul(self, a: Mat, b: Mat) -> Mat:
         return mat_mul(self.field, a, b, self.m)
-
-    def inv(self, a: Mat) -> Mat | None:
-        return mat_inv(self.field, a, self.m)
 
     def fp_vector(self, a: Mat) -> tuple[int, ...]:
         """a as a vector over the prime field: the base-p digits of its entries."""
@@ -211,24 +237,16 @@ class Subalgebra:
 
     @cached_property
     def units(self) -> tuple[Mat, ...]:
-        """Elements invertible in the ambient ring; inverses land back in the set."""
-        out = []
-        for a in self.sorted_elements:
-            ainv = self.ring.inv(a)
-            if ainv is not None:
-                if ainv not in self.element_index:
-                    raise ArithmeticError(
-                        "unit inverse escaped the subalgebra; the set is not a subring"
-                    )
-                out.append(a)
-        return tuple(out)
+        """Elements invertible in the ambient ring: those of nonzero determinant."""
+        return tuple(a for a in self.sorted_elements if mat_det(self.ring.field, a, self.ring.m))
 
     @cached_property
     def unit_orders(self) -> dict[Mat, int]:
         """Multiplicative order of every unit, in the order of units.
 
         The powers of u up to its order o give all the orders of its cyclic
-        group at once: u^j has order o / gcd(j, o).
+        group at once: u^j has order o / gcd(j, o).  They hold u's inverse
+        u^(o-1), so each must lie in the set, or the set is not a subring.
         """
         orders: dict[Mat, int] = {}
         for u in self.units:
@@ -236,6 +254,8 @@ class Subalgebra:
                 powers, x = [u], u
                 while x != self.ring.identity:
                     x = self.ring.mul(x, u)
+                    if x not in self.element_index:
+                        raise ArithmeticError("a unit power escaped the set: not a subring")
                     powers.append(x)
                 for j, y in enumerate(powers, 1):
                     orders.setdefault(y, len(powers) // math.gcd(j, len(powers)))
@@ -254,14 +274,19 @@ class Subalgebra:
         return tuple((g, _conjugation_table(self, g)) for g in gens)
 
     @cached_property
-    def center_size(self) -> int:
-        """q**dim of the center, the null space of x -> (xb - bx for b in basis)."""
-        ring, basis = self.ring, self.basis
-        span = Span(ring.field)
-        rank = sum(
-            span.add([c for b in basis for c in _commutator(ring, a, b)]) for a in basis
-        )
-        return ring.field.q ** (len(basis) - rank)
+    def center(self) -> "Subalgebra":
+        """The center: the null space of x -> ([x, b] for b in basis), with
+        each commutator of two basis elements formed once, as [b, a] = -[a, b]."""
+        ring, basis, neg = self.ring, self.basis, self.ring.field.neg
+        brackets = [[ring.zero] * len(basis) for _ in basis]
+        for i, j in itertools.combinations(range(len(basis)), 2):
+            c = brackets[i][j] = _commutator(ring, basis[i], basis[j])
+            brackets[j][i] = tuple(neg[x] for x in c)
+        return Subalgebra(ring, _null_space(ring.field, [sum(row, ()) for row in brackets], basis))
+
+    @cached_property
+    def ring_generators(self) -> tuple[Mat, ...]:
+        return _ring_generators(self)
 
     def __repr__(self) -> str:
         return f"Subalgebra(size={self.size} of {self.ring!r})"
@@ -272,28 +297,31 @@ def _commutator(ring: MatRing, a: Mat, b: Mat) -> Mat:
     return tuple(add[x][neg[y]] for x, y in zip(ring.mul(a, b), ring.mul(b, a)))
 
 
-def centralizer_ring(z: Subalgebra, a: Mat) -> Subalgebra:
-    """Subring of elements of z commuting with a.
+def _null_space(field: Fq, images: Sequence[Mat], basis: Sequence[Mat]) -> tuple[Mat, ...]:
+    """Null space in span(basis) of the linear map basis -> images: the second
+    halves of the reduced rows (0 | x) of one elimination of the rows (image | b)."""
+    n = len(images[0]) if images else 0
+    span = Span(field)
+    for image, b in zip(images, basis):
+        span.add(image + b)
+    return tuple(row[n:] for row in span.basis if not any(row[:n]))
 
-    It is the null space of x -> ax - xa on z.basis: one elimination of the
-    rows (ab - ba | b), whose reduced rows that vanish in the first half
-    have the centralizer's reduced row echelon basis as their second half.
-    """
+
+def centralizer_ring(z: Subalgebra, a: Mat) -> Subalgebra:
+    """Subring of z commuting with a: z if a is central, else one null space."""
+    if a in z.center:
+        return z
     if a not in z:
         raise ElementNotInAlgebraError("element is not in the subalgebra")
-    ring = z.ring
-    n = len(a)
-    span = Span(ring.field)
-    for b in z.basis:
-        span.add(_commutator(ring, a, b) + b)
-    return Subalgebra(ring, tuple(row[n:] for row in span.basis if not any(row[:n])))
+    images = [_commutator(z.ring, a, b) for b in z.basis]
+    return Subalgebra(z.ring, _null_space(z.ring.field, images, z.basis))
 
 
 def _conjugation_table(z: Subalgebra, g: Mat) -> tuple[int, ...]:
     """The map x -> g x g^-1 on z, as indices into z.sorted_elements: it is
     linear, so span_values of the images of the basis lists its values."""
     ring = z.ring
-    ginv = ring.inv(g)
+    ginv = mat_inv(ring.field, g, ring.m)
     images = [ring.mul(ring.mul(g, b), ginv) for b in z.basis]
     values = span_values(ring.field, images, len(ring.zero))
     return tuple(map(z.element_index.__getitem__, values))
@@ -303,6 +331,8 @@ def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
     """Orbits of the unit group acting on z by conjugation: (least rep, size),
     from the generator tables over z.sorted_elements."""
     elements = z.sorted_elements
+    if z.center.size == z.size:  # commutative: every element is its own class
+        return [(a, 1) for a in elements]
     tables = [table for _g, table in z.unit_generators]
     orbits = orbit_partition(range(len(elements)), tables, lambda i, table: table[i])
     return [(elements[min(o)], len(o)) for o in orbits]
@@ -345,7 +375,7 @@ def ring_fingerprint(z: Subalgebra) -> tuple:
     With the size they fix the number of units (the sum of the order
     counts) and commutativity (center size equal to size).
     """
-    return (z.center_size, tuple(sorted(Counter(z.unit_orders.values()).items())))
+    return (z.center.size, tuple(sorted(Counter(z.unit_orders.values()).items())))
 
 
 def _word_basis(
@@ -420,13 +450,12 @@ def _ring_generators(z: Subalgebra) -> tuple[Mat, ...]:
 
 def _element_profile(z: Subalgebra, a: Mat) -> tuple:
     ring = z.ring
-    return (
-        ring.field.p if any(a) else 1,
-        z.unit_orders.get(a, 0),
-        _nilpotency_index(ring, a),
-        ring.mul(a, a) == a,
-        all(ring.mul(a, b) == ring.mul(b, a) for b in z.basis),
-    )
+    nonzero, order = any(a), z.unit_orders.get(a, 0)
+    if order and nonzero:  # a nonzero unit is not nilpotent, and is idempotent only as 1
+        powers = (0, a == ring.identity)
+    else:
+        powers = (_nilpotency_index(ring, a), ring.mul(a, a) == a)
+    return (ring.field.p if nonzero else 1, order, *powers, a in z.center)
 
 
 def ring_is_isomorphic(z1: Subalgebra, z2: Subalgebra) -> bool:
@@ -442,7 +471,7 @@ def ring_is_isomorphic(z1: Subalgebra, z2: Subalgebra) -> bool:
         return False
     if z1.ring is z2.ring and z1.basis == z2.basis:
         return True
-    gens = _ring_generators(z1)
+    gens = z1.ring_generators
     profiles = [_element_profile(z2, b) for b in z2.sorted_elements]
     candidates = [
         [b for b, profile in zip(z2.sorted_elements, profiles) if profile == wanted]

@@ -23,6 +23,7 @@ from branchgf.matrixalg import (
     RingKeyRegistry,
     Subalgebra,
     centralizer_ring,
+    mat_det,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -208,6 +209,41 @@ def test_mat_mul_and_inverse():
     assert mat_inv(field, (1, 1, 1, 1), 2) is None  # singular
 
 
+@pytest.mark.parametrize(
+    "q,m", [(q, 1) for q in (2, 3, 4, 5)] + [(q, 2) for q in (2, 3, 4, 5)] + [(2, 3)]
+)
+def test_det_is_nonzero_exactly_on_invertible_matrices(q, m):
+    field = Fq(q)
+    for a in itertools.product(range(q), repeat=m * m):
+        assert (mat_det(field, a, m) != 0) == (mat_inv(field, a, m) is not None), a
+
+
+def test_det_signs_in_odd_characteristic():
+    # In M_3(F_3) a transposition has determinant -1 = 2, so the Leibniz
+    # signs must be right, not merely the zero pattern.
+    field = Fq(3)
+    for m in range(4):
+        assert mat_det(field, mat_identity(m), m) == 1
+    assert mat_det(field, (0, 1, 0, 1, 0, 0, 0, 0, 1), 3) == 2
+    assert mat_det(field, (1, 1, 0, 0, 1, 1, 1, 0, 1), 3) == 2
+    rng = random.Random(11)
+    for _ in range(2000):
+        a = tuple(rng.randrange(3) for _ in range(9))
+        assert (mat_det(field, a, 3) != 0) == (mat_inv(field, a, 3) is not None), a
+
+
+def test_unit_power_outside_the_set_is_refused():
+    # The F_2-span of I and the 3-cycle P in M_3(F_2) holds 1 + P, which is
+    # singular, so its units are I and P; but P^-1 = P^2 lies outside it.
+    ring = MatRing(Fq(2), 3)
+    span = Span(ring.field)
+    for a in (ring.identity, (0, 1, 0, 0, 0, 1, 1, 0, 0)):
+        span.add(a)
+    z = Subalgebra(ring, span.basis)
+    with pytest.raises(ArithmeticError, match="escaped"):
+        z.unit_orders
+
+
 def test_centralizer_of_identity_is_everything():
     ring = MatRing(Fq(2), 2)
     full = Subalgebra.full(ring)
@@ -303,7 +339,7 @@ def test_units_inverses_stay_inside():
     for rep, _ in unit_conjugacy_classes(full):
         z = centralizer_ring(full, rep)
         for u in z.units:
-            assert ring.inv(u) in z
+            assert mat_inv(ring.field, u, ring.m) in z
 
 
 def _f4_subalgebra(ring):
@@ -336,7 +372,7 @@ def test_ring_iso_conjugate_subalgebras():
     ring = MatRing(Fq(2), 2)
     diag = _diagonal_subalgebra(ring)
     u = (1, 1, 0, 1)
-    uinv = ring.inv(u)
+    uinv = mat_inv(ring.field, u, ring.m)
     conj = _listed(ring, [ring.mul(ring.mul(u, a), uinv) for a in diag.sorted_elements])
     assert ring_is_isomorphic(diag, conj)
     reg = RingKeyRegistry()
@@ -510,7 +546,7 @@ def _reached_subrings(q, conjugates, rng, m=2):
     corpus = list(seen.values())
     for z in list(corpus):
         for u in rng.sample(full.units, conjugates):
-            uinv = ring.inv(u)
+            uinv = mat_inv(ring.field, u, ring.m)
             conjugates_of_z = [ring.mul(ring.mul(u, a), uinv) for a in z.sorted_elements]
             corpus.append(_listed(ring, conjugates_of_z))
     return corpus
@@ -534,6 +570,32 @@ def test_null_space_centralizer_matches_element_filter(q, m):
             assert spanned.basis == listed.basis
             assert list(spanned.sorted_elements) == sorted(spanned.sorted_elements)
     assert len(corpus) == {(2, 2): 10, (3, 2): 18, (4, 2): 30, (2, 3): 52}[q, m]
+
+
+def _commutes_with_basis(z, a):
+    ring = z.ring
+    return all(ring.mul(a, b) == ring.mul(b, a) for b in z.basis)
+
+
+def _rank_formula_center_size(z):
+    # The former center_size: q**(dim - rank) of x -> (xb - bx for b in basis).
+    ring, basis, field = z.ring, z.basis, z.ring.field
+    span = Span(field)
+    rank = 0
+    for a in basis:
+        row = [field.add[x][field.neg[y]] for b in basis
+               for x, y in zip(ring.mul(a, b), ring.mul(b, a))]
+        rank += span.add(row)
+    return field.q ** (len(basis) - rank)
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (2, 3)])
+def test_center_matches_element_products(q, m):
+    for z in _reached_subrings(q, 1, random.Random(q + 10 * m), m):
+        central = {a for a in z.sorted_elements if _commutes_with_basis(z, a)}
+        assert set(z.center.sorted_elements) == central
+        assert all((a in z.center) == (a in central) for a in z.sorted_elements)
+        assert ring_fingerprint(z)[0] == _rank_formula_center_size(z)
 
 
 def test_element_list_and_null_space_basis_get_one_key(monkeypatch):
@@ -639,9 +701,10 @@ def _direct_conjugation_tables(ring):
     # elements in itertools.product order and the units among them.
     elements = list(itertools.product(range(ring.field.q), repeat=ring.m * ring.m))
     idx = {a: i for i, a in enumerate(elements)}
-    units = [u for u in elements if ring.inv(u) is not None]
+    inverses = {u: mat_inv(ring.field, u, ring.m) for u in elements}
     return tuple(
-        tuple(idx[ring.mul(ring.mul(u, a), ring.inv(u))] for a in elements) for u in units
+        tuple(idx[ring.mul(ring.mul(u, a), uinv)] for a in elements)
+        for u, uinv in inverses.items() if uinv is not None
     )
 
 
@@ -682,7 +745,7 @@ def _element_conjugacy_classes(z):
     )
 
     def conjugate(x, g):
-        return ring.mul(ring.mul(g, x), ring.inv(g))
+        return ring.mul(ring.mul(g, x), mat_inv(ring.field, g, ring.m))
 
     return [
         (min(o), len(o)) for o in matrixalg.orbit_partition(z.sorted_elements, gens, conjugate)
@@ -723,3 +786,40 @@ def test_module_mat_mul_count(monkeypatch):
     calls[0] = 0
     assert module_gf(2, 3).series(3) == [1, 14, 144, 1296]
     assert calls[0] <= 3894
+
+
+def test_subring_invariants_work_count(monkeypatch):
+    # Units are read off determinants, so matrices are inverted only for the
+    # unit generators' conjugation tables; the center is one null space,
+    # and a central element's centralizer and class need no products; and
+    # each registry representative chooses its ring generators once.
+    # Per-element inverses, dim^2 commutators per center and generators
+    # chosen per isomorphism test took 1462 inverses and 8052 products, and
+    # chose generators 29 times for 14 representatives.
+    calls, chosen, generators = Counter(), [], [0]
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(matrixalg, name, counted)
+
+    def counted_generators(*args):
+        gens = greedy_generators(*args)
+        generators[0] += len(gens)
+        return gens
+
+    def counted_choice(z):
+        chosen.append(z)
+        return ring_generators(z)
+
+    greedy_generators, ring_generators = matrixalg.greedy_generators, _ring_generators
+    counting("mat_mul", mat_mul)
+    counting("mat_inv", mat_inv)
+    monkeypatch.setattr(matrixalg, "greedy_generators", counted_generators)
+    monkeypatch.setattr(matrixalg, "_ring_generators", counted_choice)
+    for q, m in [(2, 2), (3, 2), (4, 2), (2, 3)]:
+        build_branching(module_process(q, m))
+    assert 0 < calls["mat_inv"] <= generators[0]
+    assert calls["mat_mul"] <= 4400
+    assert chosen and max(Counter(map(id, chosen)).values()) == 1
