@@ -17,13 +17,19 @@ When a few evaluation points all fail that test, the primitive PRS decides.
 The module also provides the resolvent computation: the first column of
 (I - B*t)^-1 for a non-negative integer matrix B, obtained by block forward
 substitution over the strongly connected components of B's class graph
-(Tarjan 1972), parents first.  Each component is solved once by one
-fraction-free (Bareiss 1968) elimination, so all arithmetic stays in Z[t].
-Its right-hand side is built from the reduced gfs of the classes that feed
-it, over the lcm of their denominators; that lcm times the component's
-determinant is the denominator of its entries, and the component writes
-no other entry.  There is no shared denominator to cancel again.  One lcm
-rule, _lcm, serves the resolvent and ratfun_sum.
+(Tarjan 1972), parents first.  Each component C of k classes is solved
+once, by Kronecker substitution: one fraction-free (Bareiss 1968) integer
+elimination of I - xi*C at the point xi = 2^b > 2B, where B, the product
+over C's rows of 1 + the row's sum, bounds the coefficients of every minor
+of I - C*t.  The determinant and the adjugate columns it needs are read
+back from their values at xi as symmetric xi-adic digits, the same reading
+GCDHEU uses; a one-class component needs no elimination.  No code
+eliminates on a matrix of polynomials.  The right-hand side is built from
+the reduced gfs of the classes that feed the component, over the lcm of
+their denominators; that lcm times the component's determinant is the
+denominator of its entries, and the component writes no other entry.
+There is no shared denominator to cancel again.  One lcm rule, _lcm,
+serves the resolvent and ratfun_sum.
 """
 
 from __future__ import annotations
@@ -242,19 +248,25 @@ def _heu_gcd(x: Poly, y: Poly) -> Poly | None:
     """
     xi = 2 * min(max(map(abs, x.coeffs)), max(map(abs, y.coeffs))) + 2
     for _ in range(_HEU_TRIES):
-        h = math.gcd(x(xi), y(xi))
-        digits = []
-        while h:
-            h, d = divmod(h, xi)
-            if d > xi // 2:
-                d -= xi
-                h += 1
-            digits.append(d)
-        g = Poly(digits).primitive_part()
+        g = _from_digits(math.gcd(x(xi), y(xi)), xi).primitive_part()
         if _divides(g, x) and _divides(g, y):
             return g
         xi = xi * 73794 // 27011
     return None
+
+
+def _from_digits(h: int, xi: int) -> Poly:
+    """The polynomial whose value at xi is h, read as symmetric xi-adic digits
+    (a digit above xi/2 becomes digit - xi); exact when every coefficient is
+    smaller than xi/2 in absolute value."""
+    digits = []
+    while h:
+        h, d = divmod(h, xi)
+        if d > xi // 2:
+            d -= xi
+            h += 1
+        digits.append(d)
+    return Poly(digits)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -452,10 +464,20 @@ class RatFun:
 
 
 def ratfun_sum(terms: Iterable[RatFun]) -> RatFun:
-    """Sum over the lcm of the denominators, reduced once."""
+    """Sum by balanced pairwise merging, reduced once: each pair of halves is
+    added over the lcm of its two denominators and left unreduced, so every
+    cofactor divides an lcm by a denominator of about half its degree."""
     terms = list(terms)
-    den = _lcm(x.den for x in terms)
-    return RatFun(sum((x.num * den.divexact(x.den) for x in terms), ZERO), den)
+
+    def merged(lo: int, hi: int) -> tuple[Poly, Poly]:
+        if hi - lo == 1:
+            return terms[lo].num, terms[lo].den
+        mid = (lo + hi) // 2
+        (num1, den1), (num2, den2) = merged(lo, mid), merged(mid, hi)
+        den = _lcm((den1, den2))
+        return num1 * den.divexact(den1) + num2 * den.divexact(den2), den
+
+    return RatFun(*merged(0, len(terms))) if terms else RatFun(ZERO)
 
 
 def _lcm(polys: Iterable[Poly]) -> Poly:
@@ -479,43 +501,85 @@ def _divides(d: Poly, p: Poly) -> bool:
 # -- resolvent of I - B*t -------------------------------------------------
 
 
-def _bareiss_eliminate(a: list[list[Poly]], n: int) -> int:
-    """Fraction-free forward elimination of the first n columns of the n
-    rows of a, in place, carrying any further columns along.  Returns the
-    sign of the row permutation, or 0 when the n x n part is singular."""
-    sign = 1
-    prev = ONE
+def _bareiss_eliminate(a: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss 1968) forward elimination of the first n
+    columns of the n integer rows of a, in place, carrying any further
+    columns along; every division is exact.  Returns the sign of the row
+    permutation, or 0 when the n x n part is singular."""
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if a[k][k].is_zero:
+        if not a[k][k]:
             for r in range(k + 1, n):
-                if not a[r][k].is_zero:
+                if a[r][k]:
                     a[k], a[r] = a[r], a[k]
                     sign = -sign
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, len(a[i])):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divexact(prev)
-            a[i][k] = ZERO
-        prev = a[k][k]
+        pivot_row, pivot = a[k], a[k][k]
+        for row in a[k + 1:n]:
+            m = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (pivot * row[j] - m * pivot_row[j]) // prev
+            row[k] = 0
+        prev = pivot
     return sign
 
 
-def bareiss_det(mat: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix by fraction-free elimination.
+def _point_above(bound: int) -> int:
+    """The least power of two above 2 * bound: symmetric digits at it read
+    back any polynomial whose coefficients are at most bound in absolute value."""
+    return 1 << (2 * bound).bit_length()
 
-    All divisions in the Bareiss recurrence are exact over Z[t], so no
-    fractions ever appear.
+
+def bareiss_det(mat: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square polynomial matrix by Kronecker substitution.
+
+    B, the product over the rows of the sum of the absolute values of each
+    row's coefficients, bounds the determinant's coefficients.  The entries
+    are evaluated at xi = 2^b > 2B, one fraction-free integer elimination
+    gives det(mat)(xi), and its symmetric xi-adic digits are det(mat).
     """
     n = len(mat)
     if n == 0:
         return ONE
-    a = [list(row) for row in mat]
-    if any(len(row) != n for row in a):
+    if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
+    xi = _point_above(math.prod(sum(abs(c) for p in row for c in p.coeffs) for row in mat))
+    a = [[p(xi) for p in row] for row in mat]
     sign = _bareiss_eliminate(a, n)
-    return a[n - 1][n - 1].scale(sign)
+    return _from_digits(sign * a[n - 1][n - 1], xi)
+
+
+def _solve_block(c: list[list[int]], rhs: list[Poly]) -> tuple[Poly, list[Poly]]:
+    """det(I - C*t) and the numerators det * x_r of (I - C*t) x = rhs.
+
+    det * x_r = sum over f of adj[r][f] * rhs_f.  Every minor of I - C*t has
+    coefficients whose absolute values sum to at most B, the product over
+    the rows of 1 + the row's sum, so one integer elimination of
+    [I - xi*C | e_f for each f with rhs_f != 0] at xi = 2^b > 2B, and
+    back-substitution with exact division, give det and those adjugate
+    columns at xi, read back as symmetric xi-adic digits.  Each leading
+    minor at xi is 1 mod xi, so no pivot is zero.  A one-class block is the
+    k = 1 case and needs no elimination: det = 1 - c*t, and x_0 * det = rhs.
+    """
+    k = len(c)
+    if k == 1:
+        return Poly([1, -c[0][0]]), rhs
+    xi = _point_above(math.prod(1 + sum(row) for row in c))
+    fed = [f for f in range(k) if rhs[f]]
+    a = [[int(i == j) - xi * x for j, x in enumerate(row)] + [int(i == f) for f in fed]
+         for i, row in enumerate(c)]
+    _bareiss_eliminate(a, k)
+    det = a[k - 1][k - 1]
+    adj = [None] * (k - 1) + [a[k - 1][k:]]  # adj[r][e] = adj(I - xi*C)[r][fed[e]]
+    for r in range(k - 2, -1, -1):
+        row = a[r]
+        adj[r] = [(det * row[k + e] - sum(row[j] * adj[j][e] for j in range(r + 1, k)))
+                  // row[r] for e in range(len(fed))]
+    nums = [sum((_from_digits(x, xi) * rhs[f] for x, f in zip(adj_r, fed)), ZERO)
+            for adj_r in adj]
+    return _from_digits(det, xi), nums
 
 
 def _components_from(root: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -557,11 +621,11 @@ def resolvent_column(b: Sequence[Sequence[int]]) -> list[RatFun]:
     on the reduced gfs of the classes that feed it, and writes only its own
     entries; there is no shared denominator.  With den the lcm of those
     gfs' denominators (1 at the root's component), row i has right-hand
-    side [i == 0] + t * sum b[i][j] * num_j * (den / den_j), and one
-    fraction-free solve gives det * x_i, so class i's gf is
-    det * x_i / (den * det), reduced.  The column is checked against six
-    steps of the integer iteration B^n e_1, an independent identity that
-    must hold for any correct inverse.
+    side [i == 0] + t * sum b[i][j] * num_j * (den / den_j).  One integer
+    solve at the point t = 2^b (_solve_block) gives det and det * x_i, so
+    class i's gf is det * x_i / (den * det), reduced.  The column is
+    checked against six steps of the integer iteration B^n e_1, an
+    independent identity that must hold for any correct inverse.
     """
     n = len(b)
     if any(len(row) != n for row in b):
@@ -572,25 +636,15 @@ def resolvent_column(b: Sequence[Sequence[int]]) -> list[RatFun]:
     succ = [list(compress(range(n), column)) for column in zip(*b)]
     column = [RatFun(ZERO)] * n
     for block in _components_from(0, succ) if n else ():
-        # The block's own entries are still 0, so they add nothing here, and
-        # den is 1 in the root's block, the first.
+        # The block's own entries, like those of unreached classes, are still
+        # 0 and add nothing here, and den is 1 in the root's block, the first.
         den = _lcm(column[j].den for i in block for j in preds[i])
-        a = []
+        rhs = []
         for i in block:
             acc = sum((column[j].num.scale(b[i][j]) * den.divexact(column[j].den)
-                       for j in preds[i]), ZERO)
-            a.append([Poly([int(i == c), -b[i][c]]) for c in block])
-            a[-1].append(Poly([int(i == 0), *acc.coeffs]))
-        # One fraction-free solve; leading minors of I - B*t have constant
-        # term 1, so no pivot is zero and a one-class block needs no step.
-        k = len(block)
-        _bareiss_eliminate(a, k)
-        det = a[k - 1][k - 1]
-        nums = [ZERO] * k  # det * x_r, in Z[t] by Cramer's rule
-        nums[k - 1] = a[k - 1][k]
-        for r in range(k - 2, -1, -1):
-            acc = sum((a[r][c] * nums[c] for c in range(r + 1, k)), ZERO)
-            nums[r] = (det * a[r][k] - acc).divexact(a[r][r])
+                       for j in preds[i] if not column[j].is_zero), ZERO)
+            rhs.append(Poly([int(i == 0), *acc.coeffs]))
+        det, nums = _solve_block([[b[i][j] for j in block] for i in block], rhs)
         den = den * det
         for i, x in zip(block, nums):
             column[i] = RatFun(x, den)

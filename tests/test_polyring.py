@@ -283,15 +283,36 @@ def test_resolvent_rejects_bad_input():
         resolvent_column([[1, 0]])
 
 
-def test_bareiss_det_matches_cofactor_expansion():
+def test_bareiss_det_matches_cofactor_expansion(monkeypatch):
     rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        mat = [
-            [Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) for _ in range(n)]
-            for _ in range(n)
-        ]
-        assert bareiss_det(mat) == _naive_det(mat)
+    cases = [
+        [[Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) for _ in range(n)]
+         for _ in range(n)]
+        for n in (rng.randint(1, 4) for _ in range(25))]
+
+    def poly():  # degree up to 4, coefficients up to 10^9 in absolute value
+        return _random_poly(rng, rng.randint(0, 4), 9)
+
+    for n in range(1, 6):
+        mat = [[poly() for _ in range(n)] for _ in range(n)]
+        cases.append(mat)
+        cases.append([[ZERO] * n if i == n // 2 else row for i, row in enumerate(mat)])
+        if n > 1:
+            h = poly()
+            cases.append([mat[0], [x * h for x in mat[0]], *mat[2:]])  # singular
+            cases.append([[ZERO, *row[1:]] for row in mat])  # no pivot in column 0
+        if n > 2:
+            cases.append([[ZERO, *mat[0][1:]], *mat[1:]])  # first pivot 0
+            # The leading 2 x 2 minor is 0, so the second pivot is 0.
+            cases.append([mat[0], [*(x * h for x in mat[0][:2]), *mat[1][2:]], *mat[2:]])
+    signs = []
+    eliminate = polyring._bareiss_eliminate
+    monkeypatch.setattr(polyring, "_bareiss_eliminate",
+                        lambda a, n: signs.append(eliminate(a, n)) or signs[-1])
+    for mat in cases:
+        assert bareiss_det(mat) == _naive_det(mat), mat
+    assert signs.count(-1) >= 6 and signs.count(0) >= 4
+    assert sum(bareiss_det(mat).is_zero for mat in cases) >= 12
 
 
 def _naive_det(mat):
@@ -406,26 +427,55 @@ def test_ratfun_sum_matches_left_fold():
 
 
 def _cofactor_column(b):
-    """Entry i of (I - B*t)^-1 e_0 by the cofactor formula adj[i][0] / det."""
+    """Entry i of (I - B*t)^-1 e_0 as adj[i][0] / det, both by Faddeev-LeVerrier
+    in integers, sharing no code with the resolvent: A_0 = I, then
+    p_d = -tr(B A_(d-1)) / d and A_d = B A_(d-1) + p_d I, so that
+    det(I - B*t) = sum p_d t^d and adj(I - B*t) = sum over d < n of t^d A_d."""
     n = len(b)
-    m = [[Poly([int(i == j), -b[i][j]]) for j in range(n)] for i in range(n)]
-    det = bareiss_det(m)
-    column = []
-    for i in range(n):
-        cof = bareiss_det([[m[r][c] for c in range(n) if c != i] for r in range(1, n)])
-        column.append(RatFun(-cof if i % 2 else cof, det))
-    return column
+    a, p, adj_column = [[int(i == j) for j in range(n)] for i in range(n)], [1], []
+    for d in range(1, n + 1):
+        adj_column.append([row[0] for row in a])
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in b]
+        trace, remainder = divmod(-sum(m[i][i] for i in range(n)), d)
+        assert remainder == 0
+        p.append(trace)
+        a = [[x + trace * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    return [RatFun(Poly(entry), Poly(p)) for entry in zip(*adj_column)]
 
 
-def _strongly_connected(rng, n):
-    # Built like the benchmark's random chains: a weighted cycle through
-    # every class plus n extra weighted edges.
+def _strongly_connected(rng, n, top=2):
+    # With top = 2, built like the benchmark's random chains: a weighted
+    # cycle through every class plus n extra weighted edges, up to top each.
     cycle = [0] + rng.sample(range(1, n), n - 1)
     b = [[0] * n for _ in range(n)]
     for parent, child in zip(cycle, cycle[1:] + cycle[:1]):
-        b[child][parent] = rng.randint(1, 2)
+        b[child][parent] = rng.randint(1, top)
     for _ in range(n):
-        b[rng.randrange(n)][rng.randrange(n)] += rng.randint(1, 2)
+        b[rng.randrange(n)][rng.randrange(n)] += rng.randint(1, top)
+    return b
+
+
+def _fed_blocks(rng, chain, sizes, top):
+    """A path of chain singleton classes with self-loops, then cyclic blocks
+    of the given sizes.  Each block is fed by the class just before it and by
+    every earlier class with probability 1/2, so its right-hand sides carry
+    numerators of degree up to about chain."""
+    n = chain + sum(sizes)
+    b = [[0] * n for _ in range(n)]
+    for i in range(chain):
+        b[i][i] = rng.randint(1, top)
+        if i:
+            b[i][i - 1] = rng.randint(1, top)
+    lo = chain
+    for k in sizes:
+        for j in range(lo):
+            if j == lo - 1 or rng.random() < 0.5:
+                b[lo + rng.randrange(k)][j] += rng.randint(1, top)
+        for c in range(k):
+            b[lo + (c + 1) % k][lo + c] = rng.randint(1, top)
+        for _ in range(k):
+            b[lo + rng.randrange(k)][lo + rng.randrange(k)] += rng.randint(1, top)
+        lo += k
     return b
 
 
@@ -513,19 +563,46 @@ def test_resolvent_matches_cofactor_formula():
         assert resolvent_column(b) == _cofactor_column(b), b
 
 
+def test_resolvent_matches_cofactor_formula_at_many_bit_lengths(monkeypatch):
+    rng = random.Random(1407)
+    cases = [_strongly_connected(rng, n, top) for n in range(12, 17) for top in (2, 10**3, 10**6)]
+    cases += [_fed_blocks(rng, rng.randint(6, 12), [rng.randint(2, 6), rng.randint(2, 6)], top)
+              for top in (2, 10**3, 10**6) for _ in range(5)]
+    points = []
+    point_above = polyring._point_above
+    monkeypatch.setattr(polyring, "_point_above",
+                        lambda bound: points.append(point_above(bound)) or points[-1])
+    for b in cases:
+        assert resolvent_column(b) == _cofactor_column(b), b
+    bits = {xi.bit_length() for xi in points}
+    assert min(bits) <= 16 and max(bits) >= 300 and len(bits) >= 25, sorted(bits)
+
+
+def _count_poly_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(self, *args, _name=name, _original=getattr(Poly, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Poly, name, counting)
+    return calls
+
+
 def test_resolvent_and_sum_multiplication_count(monkeypatch):
     matrix = build_branching(point_config_process(32)).matrix
-    calls = 0
-    mul = Poly.__mul__
-
-    def counting_mul(self, other):
-        nonlocal calls
-        calls += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    calls = _count_poly_calls(monkeypatch, "__mul__")
     ratfun_sum(resolvent_column(matrix))
-    assert 0 < calls <= 300
+    assert 0 < calls["__mul__"] <= 300
+
+
+def test_resolvent_work_on_one_strongly_connected_component(monkeypatch):
+    # Shaped like the benchmark's largest random matrix: one 16-class
+    # component, solved by one integer elimination, not over Z[t].
+    b = _strongly_connected(random.Random(7), 16)
+    calls = _count_poly_calls(monkeypatch, "__mul__", "divexact")
+    resolvent_column(b)
+    assert 0 < calls["__mul__"] <= 100 and 0 < calls["divexact"] <= 150, calls
 
 
 def test_resolvent_long_path_without_recursion():
