@@ -370,8 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the class graph in DOT format")
     p_group.set_defaults(func=cmd_group)
 
-    p_mat = sub.add_parser("matrix-alg", parents=[common],
-                           help="module-count generating functions over M_m(F_q)")
+    p_mat = sub.add_parser(
+        "matrix-alg", parents=[common],
+        help="module-count generating functions over M_m(F_q)",
+        description=(
+            "Module-count generating function over M_m(F_q). The tree lists the "
+            "elements of proper centralizers only, the largest of "
+            "q^((m-1)^2+1) elements: M_m(F_q) runs when that is at most "
+            f"{matrixalg.CENTRALIZER_SIZE_LIMIT} and q at most "
+            f"{matrixalg.FIELD_SIZE_LIMIT} (on a 2-vCPU machine, M_4(F_2) and "
+            "M_2(F_139) take under a second, M_3(F_7) about 2 s); larger rings exit 3."
+        ),
+    )
     p_mat.add_argument("--q", type=_prime_power, required=True)
     p_mat.add_argument("--m", type=_count, required=True)
     # Accepted and ignored: every ring up to the size bound runs, but

@@ -22,13 +22,21 @@ linear maps on them are evaluated from basis images by
 fields.span_values.  Units are read off determinants, with no inverse per
 element.  Unit generators and their conjugation tables are chosen in one
 place, Subalgebra.unit_generators, for the tree's unit classes and the
-oracle's unit tables alike.  Ambient rings of up to RING_SIZE_LIMIT
-elements over fields of up to FIELD_SIZE_LIMIT elements run (M_3(F_3) and
-M_2(F_11) among them); others raise SizeLimitError before their field is
-built.  The brute-force oracle module_orbit_counts enumerates the same
-classes with branchgf.orbits, on rings of up to ORACLE_SIZE_LIMIT
-elements; it reads the full subring's elements, units and unit tables,
-but nothing of the tree's centralizers, classes or keys.
+oracle's unit tables alike.
+
+The tree's root lists no elements.  Its classes are the rational canonical
+forms (similarity_classes), read off the monic irreducibles over F_q, and
+its children are keyed by class type, the multiset of (deg f, lambda_f):
+classes of one type have isomorphic centralizers, so each type builds one
+centralizer null space and takes one key.  The largest element list is
+then a proper centralizer, of at most q^((m-1)^2+1) elements; rings whose
+bound exceeds CENTRALIZER_SIZE_LIMIT, or whose field exceeds
+FIELD_SIZE_LIMIT elements, raise SizeLimitError before their field is
+built (M_4(F_2), M_3(F_7) and M_2(F_139) run).  The brute-force oracle
+module_orbit_counts enumerates the same classes with branchgf.orbits, on
+rings of up to ORACLE_SIZE_LIMIT elements; it reads the full subring's
+elements, units and unit tables, but nothing of the tree's root classes,
+centralizers or keys.
 """
 
 from __future__ import annotations
@@ -36,10 +44,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 from typing import Sequence
 
 from .engine import BranchingProcess, IsoKey, IsoRegistry, build_branching
+from .commuting import partitions
 from .engine import centralizer_tower, gf_total
 from .errors import ElementNotInAlgebraError, SizeLimitError
 from .fields import Fq, Span, _digits, prime_power, span_values
@@ -56,14 +65,17 @@ __all__ = [
     "centralizer_ring",
     "unit_conjugacy_classes",
     "unit_conjugation_tables",
+    "similarity_classes",
     "module_process",
     "module_gf",
     "module_orbit_counts",
 ]
 
-# The tree's ambient rings M_m(F_q); fields F_q on their own (q x q tables);
-# and the brute-force oracle, whose unit tables hold |units| x q^(m*m) entries.
-RING_SIZE_LIMIT = 20000
+# The tree lists no element of its root M_m(F_q), only those of the subrings
+# below it, the largest a proper centralizer of q^((m-1)^2+1) elements; fields
+# F_q carry q x q tables; and the brute-force oracle's unit tables hold
+# |units| x q^(m*m) entries.
+CENTRALIZER_SIZE_LIMIT = 20000
 FIELD_SIZE_LIMIT = 512
 ORACLE_SIZE_LIMIT = 512
 
@@ -140,18 +152,23 @@ def mat_det(field: Fq, a: Mat, m: int) -> int:
     return det
 
 
-def _check_sizes(
-    q: int, m: int, limit: int = RING_SIZE_LIMIT, rule: str = "the supported bound"
-) -> None:
-    """Refuse F_q above FIELD_SIZE_LIMIT, or M_m(F_q) above limit elements."""
+def _check_sizes(q: int, m: int, oracle: bool = False) -> None:
+    """Refuse F_q above FIELD_SIZE_LIMIT elements, and M_m(F_q) whose largest
+    proper centralizer (or, for the oracle, the whole ring) exceeds its bound."""
     if q > FIELD_SIZE_LIMIT:
         raise SizeLimitError(
             f"F_{q} has {q} elements; the supported field bound is {FIELD_SIZE_LIMIT}"
         )
-    # q**(m*m) >= 2**(m*m) passes the bound once m*m reaches its bit length,
-    # so the power is only formed while it is small.
-    if m * m >= limit.bit_length() or q ** (m * m) > limit:
-        raise SizeLimitError(f"M_{m}(F_{q}) has {q}^{m * m} elements; {rule} is {limit}")
+    if oracle:
+        dim, limit = m * m, ORACLE_SIZE_LIMIT
+        listed, rule = f"M_{m}(F_{q}) has", "the brute-force oracle's bound"
+    else:  # a non-scalar matrix commutes with at most (m-1)^2 + 1 dimensions
+        dim, limit = (m - 1) ** 2 + 1 if m > 1 else 0, CENTRALIZER_SIZE_LIMIT
+        listed, rule = f"M_{m}(F_{q}) has proper centralizers of", "the supported bound"
+    # q**dim >= 2**dim passes the bound once dim reaches its bit length, so
+    # the power is only formed while it is small.
+    if dim >= limit.bit_length() or q**dim > limit:
+        raise SizeLimitError(f"{listed} {q}^{dim} elements; {rule} is {limit}")
 
 
 class MatRing:
@@ -511,6 +528,79 @@ class RingKeyRegistry(IsoRegistry):
         return self.lookup(z, z.basis, z.size, ring_is_isomorphic, "r")
 
 
+# -- the root's classes: rational canonical forms ----------------------------------
+
+FqPoly = tuple[int, ...]  # coefficients c_0, ..., c_d of a polynomial over F_q
+
+
+def _poly_mul(field: Fq, f: FqPoly, g: FqPoly) -> FqPoly:
+    add, mul = field.add, field.mul
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = add[out[i + j]][mul[a][b]]
+    return tuple(out)
+
+
+def _monic_irreducibles(field: Fq, m: int) -> list[FqPoly]:
+    """The monic irreducibles over F_q of degree 1..m, by degree: a sieve
+    that marks f g for each irreducible f and monic g of degree >= 1 up to
+    total degree m, so a degree's unmarked polynomials are its irreducibles
+    once every lower degree is done."""
+    monic = [[(*c, 1) for c in itertools.product(range(field.q), repeat=d)] for d in range(m + 1)]
+    irreducibles: list[FqPoly] = []
+    reducible: set[FqPoly] = set()
+    for d in range(1, m + 1):
+        new = [f for f in monic[d] if f not in reducible]
+        reducible.update(_poly_mul(field, f, g) for f in new for e in range(1, m - d + 1)
+                         for g in monic[e])
+        irreducibles += new
+    return irreducibles
+
+
+def similarity_classes(ring: MatRing) -> dict[Mat, tuple]:
+    """One representative of each similarity class of M_m(F_q), with its type.
+
+    A class is a choice, for some distinct monic irreducibles f of degree
+    d, of partitions lambda_f with the sum of d |lambda_f| equal to m (its
+    rational canonical form); its representative is the block diagonal of
+    the companion matrices of the f^k for k in each lambda_f.  The type is
+    the multiset of the (d, lambda_f): two classes of one type have
+    isomorphic centralizers (J. A. Green, Trans. AMS 80, 1955).  Choices
+    are grown from a stack, each by an irreducible after its last one, so
+    no recursion level is spent per polynomial.
+    """
+    field, m = ring.field, ring.m
+    irreducibles = _monic_irreducibles(field, m)
+    by_size = [list(partitions(n)) for n in range(m + 1)]
+    classes: dict[Mat, tuple] = {}
+    stack: list[tuple[tuple, int, int]] = [((), 0, 0)]  # (f, lambda_f) chosen, degree used, next f
+    while stack:
+        chosen, used, start = stack.pop()
+        if used == m:
+            rep, at = [0] * (m * m), 0
+            for f, parts in chosen:
+                for k in parts:
+                    g = reduce(partial(_poly_mul, field), [f] * k)
+                    n = len(g) - 1  # the companion matrix of g, at rows and columns at..at+n-1
+                    for i in range(n):
+                        row = (at + i) * m + at
+                        if i:
+                            rep[row + i - 1] = 1
+                        rep[row + n - 1] = field.neg[g[i]]
+                    at += n
+            classes[tuple(rep)] = tuple(sorted((len(f) - 1, parts) for f, parts in chosen))
+            continue
+        for i in range(start, len(irreducibles)):
+            d = len(irreducibles[i]) - 1
+            if used + d > m:
+                break
+            for n in range(1, (m - used) // d + 1):
+                stack.extend(((*chosen, (irreducibles[i], parts)), used + d * n, i + 1)
+                             for parts in by_size[n])
+    return classes
+
+
 # -- the module-counting tree ----------------------------------------------------
 
 
@@ -528,13 +618,24 @@ def module_process(q: int, m: int) -> BranchingProcess:
     (engine.centralizer_tower): the children of a state with centralizer
     ring Z are the unit-conjugacy classes of Z, keyed by the
     ring-isomorphism class of the centralizer in Z of a representative.
+    The root's classes are the rational canonical forms, and the classes
+    of one type share one centralizer, so the root lists no elements.
     """
-    return centralizer_tower(
-        Subalgebra.full(_matrix_ring(q, m)),
-        RingKeyRegistry(),
-        classes=lambda z: [rep for rep, _size in unit_conjugacy_classes(z)],
-        centralizer=lambda z, rep: centralizer_ring(z, rep),
-    )
+    full = Subalgebra.full(_matrix_ring(q, m))
+    types = similarity_classes(full.ring)
+    by_type: dict[tuple, Subalgebra] = {}
+
+    def classes(z: Subalgebra) -> list[Mat]:
+        return list(types) if z is full else [rep for rep, _size in unit_conjugacy_classes(z)]
+
+    def centralizer(z: Subalgebra, rep: Mat) -> Subalgebra:
+        if z is not full:
+            return centralizer_ring(z, rep)
+        if types[rep] not in by_type:
+            by_type[types[rep]] = centralizer_ring(z, rep)
+        return by_type[types[rep]]
+
+    return centralizer_tower(full, RingKeyRegistry(), classes, centralizer)
 
 
 def module_gf(q: int, m: int) -> RatFun:
@@ -552,7 +653,7 @@ def module_orbit_counts(
     the intersection of their _commutant sets, memoised per element.  Rings
     above ORACLE_SIZE_LIMIT elements are refused before anything is built.
     """
-    _check_sizes(q, m, ORACLE_SIZE_LIMIT, "the brute-force oracle's bound")
+    _check_sizes(q, m, oracle=True)
     full = Subalgebra.full(_matrix_ring(q, m))
     commutant = cache(lambda i: _commutant(full.ring, full.sorted_elements[i]))
 

@@ -122,7 +122,18 @@ def closure(
     With a limit, OrderLimitError is raised once the set would grow past it.
     """
     seen = {start}
-    frontier = [start]
+    _grow(seen, [start], generators, mul, limit)
+    return seen
+
+
+def _grow(
+    seen: set[T],
+    frontier: list[T],
+    generators: Sequence[G],
+    mul: Callable[[T, G], T],
+    limit: int | None = None,
+) -> None:
+    """Add to seen everything reachable from frontier, a part of seen, by steps."""
     while frontier:
         nxt = []
         for x in frontier:
@@ -134,20 +145,26 @@ def closure(
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return seen
 
 
 def greedy_generators(
     elements: Sequence[T], identity: T, mul: Callable[[T, T], T], rank: Callable[[T], object]
 ) -> tuple[T, ...]:
     """Generators of the group of elements: the one of greatest rank, then in
-    one walk every element not generated so far (none for a trivial group)."""
+    one walk every element not generated so far (none for a trivial group).
+
+    A new generator x outside the group H generated so far adds the coset
+    H x, none of it in H; the rest of the larger group is reached from
+    that coset, since a step from H by an old generator stays in H.
+    """
     gens: list[T] = []
     generated = {identity}
     for x in (max(elements, key=rank), *elements):
         if x not in generated:
             gens.append(x)
-            generated = closure(identity, gens, mul)
+            coset = [mul(h, x) for h in generated]
+            generated.update(coset)
+            _grow(generated, coset, gens, mul)
     return tuple(gens)
 
 

@@ -425,12 +425,12 @@ class RatFun:
         """
         if n_max < 0:
             return []
-        num, den = self.num, self.den
+        num, den = self.num.coeffs, self.den.coeffs
         d0 = den[0]
         out: list[int] = []
         for k in range(n_max + 1):
-            c = num[k]
-            for i in range(1, min(k, den.degree) + 1):
+            c = num[k] if k < len(num) else 0
+            for i in range(1, min(k, len(den) - 1) + 1):
                 c -= den[i] * out[k - i]
             quotient, remainder = divmod(c, d0)
             if remainder:
@@ -465,8 +465,9 @@ class RatFun:
 
 def ratfun_sum(terms: Iterable[RatFun]) -> RatFun:
     """Sum by balanced pairwise merging, reduced once: each pair of halves is
-    added over the lcm of its two denominators and left unreduced, so every
-    cofactor divides an lcm by a denominator of about half its degree."""
+    added over the lcm of its two denominators (over their one denominator
+    when they share it) and left unreduced, so every cofactor divides an
+    lcm by a denominator of about half its degree."""
     terms = list(terms)
 
     def merged(lo: int, hi: int) -> tuple[Poly, Poly]:
@@ -474,6 +475,8 @@ def ratfun_sum(terms: Iterable[RatFun]) -> RatFun:
             return terms[lo].num, terms[lo].den
         mid = (lo + hi) // 2
         (num1, den1), (num2, den2) = merged(lo, mid), merged(mid, hi)
+        if den1 == den2:
+            return num1 + num2, den1
         den = _lcm((den1, den2))
         return num1 * den.divexact(den1) + num2 * den.divexact(den2), den
 

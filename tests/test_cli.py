@@ -99,14 +99,16 @@ def test_bad_subcommand_exits_2():
 
 
 def test_stretch_gate_maps_to_limit_exit():
-    status, _ = run_cli(["matrix-alg", "--q", "4", "--m", "3"])
+    status, _ = run_cli(["matrix-alg", "--q", "8", "--m", "3"])
     assert status == EXIT_LIMIT
 
 
 def test_stretch_error_states_the_size_rule(capsys):
     rules = {
-        ("--q", "4", "--m", "3"): "M_3(F_4) has 4^9 elements; the supported bound is 20000",
-        ("--q", "13", "--m", "2"): "M_2(F_13) has 13^4 elements; the supported bound is 20000",
+        ("--q", "8", "--m", "3"):
+            "M_3(F_8) has proper centralizers of 8^5 elements; the supported bound is 20000",
+        ("--q", "149", "--m", "2"):
+            "M_2(F_149) has proper centralizers of 149^2 elements; the supported bound is 20000",
         ("--q", "521", "--m", "1"): "F_521 has 521 elements; the supported field bound is 512",
     }
     for argv, rule in rules.items():
@@ -154,6 +156,13 @@ def test_stretch_is_left_out_of_the_help(capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert "stretch" not in capsys.readouterr().out
+
+
+def test_matrix_alg_help_states_the_size_rule(capsys):
+    with pytest.raises(SystemExit):
+        main(["matrix-alg", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "q^((m-1)^2+1) elements" in help_text and "at most 20000" in help_text
 
 
 @pytest.mark.parametrize(
@@ -297,8 +306,11 @@ EXIT_CODE_CASES = [
     (["matrix-alg", "--q", "4", "--m", "2", "--stretch", "--terms", "3"], EXIT_OK),
     (["matrix-alg", "--q", "3", "--m", "3"], EXIT_OK),
     (["matrix-alg", "--q", "3", "--m", "3", "--stretch"], EXIT_OK),
+    (["matrix-alg", "--q", "4", "--m", "3"], EXIT_OK),
+    (["matrix-alg", "--q", "127", "--m", "2"], EXIT_OK),
     (["matrix-alg", "--q", "1009", "--m", "1"], EXIT_LIMIT),
-    (["matrix-alg", "--q", "127", "--m", "2"], EXIT_LIMIT),
+    (["matrix-alg", "--q", "149", "--m", "2"], EXIT_LIMIT),
+    (["matrix-alg", "--q", "8", "--m", "3"], EXIT_LIMIT),
     (["configs", "--kind", "point", "--m", "151"], EXIT_LIMIT),
     (["configs", "--kind", "point", "--m", "100000"], EXIT_LIMIT),
     (["configs", "--kind", "vector", "--q", "2", "--m", "74"], EXIT_LIMIT),

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from branchgf import fields, matrixalg
-from branchgf.engine import build_branching, verify_tree
+from branchgf.engine import build_branching, centralizer_tower, class_gfs, gf_total, verify_tree
 from branchgf.errors import ElementNotInAlgebraError, SizeLimitError, WorkBudgetError
 from branchgf.fixtures import (
     fixture_ratfun,
@@ -38,6 +38,7 @@ from branchgf.matrixalg import (
     _subring_closure,
     ring_fingerprint,
     ring_is_isomorphic,
+    similarity_classes,
     unit_conjugacy_classes,
     unit_conjugation_tables,
 )
@@ -405,9 +406,9 @@ def test_module_gf_dim3_at_q3_is_the_unit_constant_form():
 
 
 def test_level_one_counts_similarity_classes():
-    # Level 1 of the tree over M_m(F_q) counts the unit classes of its root,
-    # the similarity classes of M_m(F_q).  Every ring the tree accepts is
-    # checked: fields up to 512 elements, rings up to 20000.
+    # Level 1 of the tree over M_m(F_q) counts the root's classes, the
+    # rational canonical forms: the similarity classes of M_m(F_q).  Every
+    # admitted ring of up to 2^16 elements is checked.
     rings = 0
     for q in range(2, matrixalg.FIELD_SIZE_LIMIT + 1):
         try:
@@ -416,12 +417,64 @@ def test_level_one_counts_similarity_classes():
             continue
         field = Fq(q)
         m = 0
-        while q ** (m * m) <= matrixalg.RING_SIZE_LIMIT:
-            classes = unit_conjugacy_classes(Subalgebra.full(MatRing(field, m)))
+        while q ** (m * m) <= 2**16:
+            classes = similarity_classes(MatRing(field, m))
             assert len(classes) == similarity_class_count(q, m), (q, m)
             rings += 1
             m += 1
-    assert rings == 244
+    assert rings == 247
+
+
+def _plain_module_process(q, m):
+    # The tower with no special root: unit-conjugacy orbits of M_m(F_q).
+    return centralizer_tower(
+        Subalgebra.full(MatRing(Fq(q), m)),
+        RingKeyRegistry(),
+        classes=lambda z: [rep for rep, _size in unit_conjugacy_classes(z)],
+        centralizer=centralizer_ring,
+    )
+
+
+@pytest.mark.parametrize("q,m", [(2, 3), (3, 3), (5, 2)])
+def test_rational_canonical_root_matches_the_unit_orbit_root(q, m):
+    # Class discovery order differs, so the class gfs compare as multisets.
+    plain = build_branching(_plain_module_process(q, m))
+    typed = build_branching(module_process(q, m))
+    assert Counter(class_gfs(typed)) == Counter(class_gfs(plain))
+    assert gf_total(typed) == gf_total(plain)
+
+
+@pytest.mark.parametrize("q,m", [(2, 3), (3, 3), (5, 2)])
+def test_classes_of_one_type_have_isomorphic_centralizers(q, m):
+    full = Subalgebra.full(MatRing(Fq(q), m))
+    first = {}
+    for rep, kind in similarity_classes(full.ring).items():
+        first.setdefault(kind, centralizer_ring(full, rep))
+        assert ring_is_isomorphic(first[kind], centralizer_ring(full, rep))
+
+
+def test_root_lists_no_elements(monkeypatch):
+    roots = []
+    full = Subalgebra.full
+
+    def recorded(cls, ring):
+        roots.append(full(ring))
+        return roots[-1]
+
+    monkeypatch.setattr(Subalgebra, "full", classmethod(recorded))
+    build_branching(module_process(2, 3))
+    (root,) = roots
+    assert not {"sorted_elements", "units", "unit_generators"} & set(vars(root))
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_module_gf_dim3_past_the_old_ring_rule(q):
+    assert module_gf(q, 3) == fixture_ratfun(module_gf_dim3_candidates(q)["unit-constant"])
+
+
+def test_module_gf_m4_q2_first_coefficients():
+    # The keyless level counts of M_4(F_2) to n = 2.
+    assert module_gf(2, 4).series(2) == [1, 34, 788]
 
 
 def test_module_gf_first_coefficients():
@@ -458,7 +511,7 @@ def test_module_oracle_reaches_no_tree_code(monkeypatch):
     assert {"build_branching", "centralizer_tower", "gf_total"} <= set(engine_names)
     for name in engine_names + [
         "centralizer_ring", "unit_conjugacy_classes", "ring_is_isomorphic",
-        "ring_fingerprint", "RingKeyRegistry",
+        "ring_fingerprint", "RingKeyRegistry", "similarity_classes",
     ]:
         monkeypatch.setattr(matrixalg, name, forbidden)
     assert module_orbit_counts(2, 3, 2) == [1, 14, 144]
@@ -471,27 +524,30 @@ def test_module_oracle_budget():
 
 def test_stretch_gate(monkeypatch):
     # Three rules, each checked before a field is built: the tree's rings
-    # M_m(F_q) up to 20000 elements, fields up to 512 elements, and the
-    # brute-force oracle's rings up to 512 elements.
-    assert MatRing(Fq(3), 3).size == 19683
+    # M_m(F_q) whose proper centralizers, of up to q^((m-1)^2+1) elements,
+    # have at most 20000, fields up to 512 elements, and the brute-force
+    # oracle's rings up to 512 elements.
+    assert MatRing(Fq(7), 3).size == 7**9
     with pytest.raises(SizeLimitError):
-        MatRing(Fq(4), 3)
+        MatRing(Fq(8), 3)
 
     def no_field(q):
         raise AssertionError(f"F_{q} built for a refused ring")
 
     monkeypatch.setattr(matrixalg, "Fq", no_field)
-    ring_rule = r"M_3\(F_4\) has 4\^9 elements; the supported bound is 20000"
+    ring_rule = r"M_3\(F_8\) has proper centralizers of 8\^5 elements; the supported bound is 20000"
     with pytest.raises(SizeLimitError, match=ring_rule):
-        module_process(4, 3)
-    with pytest.raises(SizeLimitError, match=r"M_2\(F_13\) has 13\^4 elements"):
-        module_process(13, 2)
+        module_process(8, 3)
+    with pytest.raises(SizeLimitError, match=r"M_2\(F_149\) has proper centralizers of 149\^2 "):
+        module_process(149, 2)
+    with pytest.raises(SizeLimitError, match=r"M_5\(F_2\) has proper centralizers of 2\^17 "):
+        module_process(2, 5)
     with pytest.raises(SizeLimitError, match="the brute-force oracle's bound is 512"):
         module_orbit_counts(3, 3, 1)
     field_rule = "F_1009 has 1009 elements; the supported field bound is 512"
     with pytest.raises(SizeLimitError, match=field_rule):
         module_gf(1009, 1)
-    with pytest.raises(SizeLimitError, match=r"M_1000\(F_2\) has 2\^1000000 elements"):
+    with pytest.raises(SizeLimitError, match=r"M_1000\(F_2\) has proper centralizers of 2\^998002 "):
         module_gf(2, 1000)
 
 

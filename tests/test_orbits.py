@@ -111,6 +111,31 @@ def test_greedy_generators_pinned(name):
     assert len(orbits.closure(group.identity, gens, operator.mul)) == group.order
 
 
+def _from_scratch_generators(elements, identity, mul, rank):
+    # greedy_generators as it was: the whole closure again after each generator.
+    gens, generated = [], {identity}
+    for x in (max(elements, key=rank), *elements):
+        if x not in generated:
+            gens.append(x)
+            generated = orbits.closure(identity, gens, mul)
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("name", ["S5", "C2wrS2xS4", "units_M3F2"])
+def test_greedy_generators_match_a_from_scratch_closure(name):
+    if name == "units_M3F2":
+        z = Subalgebra.full(_matrix_ring(2, 3))
+        args = (z.units, z.ring.identity, z.ring.mul,
+                lambda u: (z.unit_orders[u], tuple(-c for c in u)))
+    else:
+        group = parse_group_name(name)
+        args = (group.elements, group.identity, operator.mul,
+                lambda x: (x.order(), tuple(-i for i in x.images)))
+    gens = orbits.greedy_generators(*args)
+    assert gens == _from_scratch_generators(*args)
+    assert len(orbits.closure(args[1], gens, args[2])) == len(args[0])
+
+
 @pytest.mark.parametrize(
     "tables",
     [

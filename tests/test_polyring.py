@@ -256,6 +256,17 @@ def test_series_roundtrip_recurrence():
         assert acc == num[k]
 
 
+def test_series_reads_coefficients_without_indexing(monkeypatch):
+    # The commuting-tuple gf of S3: 1, 3, 8, 21, 56, 153, ...
+    f = RatFun(Poly([1, -3, 1]), poly_product([one_minus(1), one_minus(2), one_minus(3)]))
+
+    def no_getitem(self, n):
+        raise AssertionError("series indexed a Poly")
+
+    monkeypatch.setattr(Poly, "__getitem__", no_getitem)
+    assert f.series(5) == [1, 3, 8, 21, 56, 153]
+
+
 def test_resolvent_two_class_example():
     col = resolvent_column([[1, 0], [2, 2]])
     assert col[0] == RatFun(Poly([1]), one_minus(1))
@@ -424,6 +435,18 @@ def test_ratfun_sum_matches_left_fold():
     for terms in cases:
         assert ratfun_sum(terms) == reduce(operator.add, terms, RatFun(ZERO))
     assert ratfun_sum([]) == RatFun(ZERO) and ratfun_sum(iter(fixed)) == ratfun_sum(fixed)
+
+
+def test_ratfun_sum_of_a_shared_denominator_needs_no_lcm(monkeypatch):
+    den = one_minus(1) * one_minus(2)
+    terms = [RatFun(Poly([1, k]), den) for k in (0, 1, 3, 4, 5)]
+    expected = reduce(operator.add, terms, RatFun(ZERO))
+
+    def no_lcm(polys):
+        raise AssertionError("an lcm formed for one shared denominator")
+
+    monkeypatch.setattr(polyring, "_lcm", no_lcm)
+    assert ratfun_sum(terms) == expected == RatFun(Poly([5, 13]), den)
 
 
 def _cofactor_column(b):
