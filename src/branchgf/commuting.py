@@ -5,6 +5,9 @@ nodes of a rooted tree; a node's children are the conjugacy classes of the
 running centralizer, so keying each node by the isomorphism class of that
 centralizer yields a self-similar keying; commuting_process builds it
 with engine.centralizer_tower, as branchgf.matrixalg does for rings.
+A direct product needs no tree of its own: with its factors keyed by one
+KeyRegistry, engine.product_process combines the factors' trees, and
+burnside_gf combines their classes, so neither lists a product element.
 Orbit counts of all (not necessarily commuting) tuples have a classical
 closed form as a centralizer-size partial-fraction sum, implemented here
 both over the group elements and, for symmetric groups, over partitions.
@@ -16,6 +19,7 @@ enumeration (branchgf.orbits).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterator
 
 from .engine import BranchingProcess, build_branching, centralizer_tower, gf_total
@@ -57,18 +61,23 @@ def commuting_gf(group: PermGroup) -> RatFun:
     return gf_total(build_branching(commuting_process(group)))
 
 
-def burnside_gf(group: PermGroup) -> RatFun:
-    """Generating function of orbit counts on all n-tuples.
+def burnside_gf(*groups: PermGroup) -> RatFun:
+    """Generating function of orbit counts on all n-tuples of the groups' direct product.
 
     Orbit counting gives sum over g of |Z(g)|^n / |G|, i.e. the sum of
-    size/|G| * 1/(1 - |Z|t) over conjugacy classes.
+    size/|G| * 1/(1 - |Z|t) = 1/(|Z| (1 - |Z|t)) over conjugacy classes.  A
+    class of a product is a tuple of factor classes whose |Z| is the product
+    of theirs, so classes are tallied by |Z| and no product element is listed.
     """
-    n = group.order
-    terms = []
-    for cls in group.conjugacy_classes:
-        z_order = n // cls.size
-        terms.append(RatFun(Poly([cls.size]), Poly([n]) * Poly([1, -z_order])))
-    return ratfun_sum(terms)
+    tally = Counter({1: 1})
+    for group in groups:
+        orders = Counter(group.order // cls.size for cls in group.conjugacy_classes)
+        step = Counter()
+        for z, count in tally.items():
+            for w, n in orders.items():
+                step[z * w] += count * n
+        tally = step
+    return ratfun_sum(RatFun(Poly([count]), Poly([z, -z * z])) for z, count in tally.items())
 
 
 def burnside_gf_elementwise(group: PermGroup) -> RatFun:

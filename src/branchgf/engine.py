@@ -20,10 +20,16 @@ tags and a fast path for an element set seen before.  Each structure
 supplies only its same-set key, size, isomorphism test and label prefix,
 so a key prints as g120.0 for a group or r16.0 for a ring.  Cheap
 invariants that screen a pair belong to the isomorphism test itself.
+
+The tree of a direct product is the product of its factors' trees, as
+the centralizer of (g, h) in G x H is C_G(g) x C_H(h): product_process
+builds it from the factors' branching matrices, so no element of the
+product is ever listed.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, NamedTuple
@@ -37,6 +43,7 @@ __all__ = [
     "IsoKey",
     "IsoRegistry",
     "centralizer_tower",
+    "product_process",
     "build_branching",
     "gf_total",
     "class_gfs",
@@ -96,7 +103,8 @@ class IsoRegistry:
     the representatives of its size, so the first structure of a size is
     keyed with no test at all.  representatives maps each key to the
     first structure that got it.  The registry is mutable; confine one
-    instance to one process build.
+    instance to the trees of one command, such as the factor trees of one
+    direct product, whose keys must agree across factors.
     """
 
     def __init__(self):
@@ -157,6 +165,45 @@ class BranchingMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.matrix[i][j] for i in range(self.size))
+
+
+def product_process(*trees: BranchingMatrix) -> BranchingProcess:
+    """The tree of a direct product, from its factors' trees.
+
+    The factors must be keyed by one registry, so that equal keys name
+    isomorphic factors.  A node is the sorted tuple of its factor keys
+    (G x H is H x G), and its children are every combination of the
+    factors' children, read off the matrix columns, with multiplicities
+    multiplied.  Raises StateExplosionError, before any class is listed,
+    when the product of the factors' class counts exceeds STATE_LIMIT.
+    """
+    sizes = [bm.size for bm in trees]
+    if math.prod(sizes) > STATE_LIMIT:
+        raise StateExplosionError(
+            f"the factors' class counts {' * '.join(map(str, sizes))} = "
+            f"{math.prod(sizes)} exceed the state limit {STATE_LIMIT}"
+        )
+    columns, labels = {}, {}
+    for bm in trees:
+        for j, key in enumerate(bm.keys):
+            columns[key] = [(k, n) for k, n in zip(bm.keys, bm.column(j)) if n]
+            labels[key] = bm.labels[j]
+
+    def children(node: tuple) -> Counter:
+        out = Counter({(): 1})
+        for key in node:
+            step = Counter()
+            for part, mult in out.items():
+                for child, n in columns[key]:
+                    step[tuple(sorted(part + (child,)))] += mult * n
+            out = step
+        return out
+
+    return BranchingProcess(
+        root=tuple(sorted(bm.keys[0] for bm in trees)),
+        children=children,
+        label=lambda node: "x".join(labels[k] for k in node),
+    )
 
 
 def _state_explosion(process: BranchingProcess, keys: list[ClassKey]) -> StateExplosionError:

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from branchgf import cli, commuting, configs
+from branchgf import cli, commuting, configs, perms
 from branchgf.cli import (
     EXIT_LIMIT,
     EXIT_MISMATCH,
@@ -63,6 +63,50 @@ def test_group_matrix_and_dot_build_the_branching_once(monkeypatch):
     status, _ = run_cli(["group", "--name", "S4", "--show-matrix", "--dot"])
     assert status == EXIT_OK
     assert len(calls) == 1
+
+
+def test_product_labels_join_factor_keys():
+    status, text = run_cli(["group", "--name", "C2xS3", "--show-matrix", "--format", "records"])
+    assert status == EXIT_OK
+    record = json.loads(text.splitlines()[1])
+    assert record["labels"] == ["g2.0xg6.1", "g2.0xg2.0", "g2.0xg3.2"]
+    status, dot = run_cli(["group", "--name", "C2xS3", "--dot"])
+    assert 'c0 [label="g2.0xg6.1" shape="doublecircle"];' in dot
+    assert "(" not in "".join(line for line in dot.splitlines() if "label" in line)
+
+
+@pytest.mark.parametrize("name,order", [("C2wrS2xS4", 192), ("S6xS6", 518400)])
+def test_product_lists_no_elements(name, order, monkeypatch):
+    def refused(*groups):
+        raise AssertionError("a product's element list was built")
+
+    init = perms.PermGroup.__init__
+
+    def guarded(self, degree, elements):
+        init(self, degree, elements)
+        if self.order == order:
+            raise AssertionError(f"a group of the product's order {order} was built")
+
+    for module in (perms, cli):
+        monkeypatch.setattr(module, "direct_product", refused)
+    monkeypatch.setattr(perms.PermGroup, "__init__", guarded)
+    for kind in ("commuting", "burnside"):
+        assert run_cli(["group", "--name", name, "--kind", kind])[0] == EXIT_OK
+
+
+def test_product_bound_names_the_class_counts(capsys):
+    status, _ = run_cli(["group", "--name", "S6xS6xS6xS6xS6"])
+    assert status == EXIT_LIMIT
+    assert "class counts 9 * 9 * 9 * 9 * 9 = 59049 exceed the state limit 10000" in (
+        capsys.readouterr().err
+    )
+
+
+def test_group_help_states_the_product_rule(capsys):
+    with pytest.raises(SystemExit):
+        main(["group", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "product of its factors' tree class counts is at most 10000" in help_text
 
 
 def test_configs_point_m0():
@@ -315,8 +359,11 @@ EXIT_CODE_CASES = [
     (["configs", "--kind", "point", "--m", "100000"], EXIT_LIMIT),
     (["configs", "--kind", "vector", "--q", "2", "--m", "74"], EXIT_LIMIT),
     (["configs", "--kind", "vector", "--q", "10000000000000061", "--m", "30"], EXIT_LIMIT),
-    (["group", "--name", "S6xS6xS6"], EXIT_LIMIT),
+    (["group", "--name", "S6xS6"], EXIT_OK),
+    (["group", "--name", "S6xS6xS6"], EXIT_OK),
+    (["group", "--name", "S6xS6xS6xS6xS6"], EXIT_LIMIT),
     (["group", "--name", "D300"], EXIT_LIMIT),
+    (["group", "--name", "D300xC2"], EXIT_LIMIT),
     (["verify", "--suite", "oracles", "--budget", "0"], EXIT_LIMIT),
     (["expand", "--num", "1", "--den", "1,-10", "--terms", "5000"], EXIT_LIMIT),
     (["configs", "--kind", "point", "--m", "150", "--terms", "3000"], EXIT_LIMIT),

@@ -15,8 +15,14 @@ from branchgf.commuting import (
     symmetric_burnside_gf,
     zlambda,
 )
-from branchgf.cli import parse_group_name
-from branchgf.engine import bfs_level_counts, build_branching, gf_total, verify_tree
+from branchgf.cli import parse_group_factors, parse_group_name
+from branchgf.engine import (
+    bfs_level_counts,
+    build_branching,
+    gf_total,
+    product_process,
+    verify_tree,
+)
 from branchgf.errors import WorkBudgetError
 from branchgf.fixtures import (
     COMMUTING_BRANCHING,
@@ -25,6 +31,7 @@ from branchgf.fixtures import (
     fixture_ratfun,
 )
 from branchgf.perms import (
+    KeyRegistry,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -160,6 +167,33 @@ def test_product_rule_for_a_group_of_order_128():
     group = parse_group_name("C2wrS2xC2wrS2xC2")
     assert group.order == 128
     assert commuting_gf(group).series(8) == [h * h * 2**n for n, h in enumerate(factor)]
+
+
+def product_tree(name):
+    """The process of an x-joined name from its factors' trees, one registry."""
+    registry = KeyRegistry()
+    factors = parse_group_factors(name)
+    return product_process(
+        *(build_branching(commuting_process(g, registry)) for g in factors)
+    )
+
+
+@pytest.mark.parametrize("name", ["D8xC2", "S5xC2", "C2wrS2xS4", "C2xC2xS3", "S3xS3xC2"])
+def test_product_tree_matches_the_element_list_tree(name):
+    process = product_tree(name)
+    assert gf_total(build_branching(process)) == commuting_gf(parse_group_name(name))
+    assert verify_tree(process, 8)
+
+
+def test_s6xs6_series_is_the_square_of_s6():
+    factor = commuting_gf(symmetric_group(6)).series(8)
+    product = gf_total(build_branching(product_tree("S6xS6"))).series(8)
+    assert product == [h * h for h in factor]
+
+
+@pytest.mark.parametrize("name", ["C2xS3", "D8xC2", "S5xC2", "C2wrS2xS4"])
+def test_product_burnside_from_class_tuples(name):
+    assert burnside_gf(*parse_group_factors(name)) == burnside_gf(parse_group_name(name))
 
 
 def test_oracle_budget():

@@ -17,6 +17,7 @@ from branchgf.engine import (
     class_gfs,
     denominators_divide_det,
     gf_total,
+    product_process,
     render_dot,
     verify_tree,
 )
@@ -78,6 +79,30 @@ def test_state_explosion(monkeypatch):
         build_branching(process)
     with pytest.raises(StateExplosionError, match=progress):
         bfs_level_counts(process, 100)
+
+
+def test_product_of_two_class_trees():
+    # A two-class tree times itself: sorted key pairs, so (a, b) and (b, a)
+    # are one class, and each level total is the square of the factor's.
+    tree = build_branching(two_class_process())
+    product = product_process(tree, tree)
+    bm = build_branching(product)
+    assert bm.keys == (("a", "a"), ("a", "b"), ("b", "b"))
+    assert bm.labels == ("axa", "axb", "bxb")
+    assert product.child_counts(("a", "a")) == {("a", "a"): 1, ("a", "b"): 4, ("b", "b"): 4}
+    factor = gf_total(tree).series(8)
+    assert gf_total(bm).series(8) == [h * h for h in factor]
+    assert verify_tree(product, 8)
+
+
+def test_product_bound_is_checked_when_the_process_is_made(monkeypatch):
+    # 2 * 2 * 2 = 8 factor class combinations against a limit of 7, though
+    # only 4 sorted key triples exist.
+    tree = build_branching(two_class_process())
+    monkeypatch.setattr(branchgf.engine, "STATE_LIMIT", 7)
+    with pytest.raises(StateExplosionError, match=r"class counts 2 \* 2 \* 2 = 8 exceed"):
+        product_process(tree, tree, tree)
+    assert build_branching(product_process(tree, tree)).size == 3
 
 
 def test_verify_tree_two_class():
