@@ -252,6 +252,13 @@ def cmd_expand(args, out) -> int:
 # -- verify suites ----------------------------------------------------------------
 
 
+def _check(out, failures: list[str], label: str, ok: bool, failure: str) -> None:
+    """Print one verify row, label: ok or MISMATCH, and collect its failure."""
+    print(f"{label}: {'ok' if ok else 'MISMATCH'}", file=out)
+    if not ok:
+        failures.append(failure)
+
+
 def _verify_paper_tables(out) -> list[str]:
     failures = []
     for m in range(1, 6):
@@ -259,61 +266,45 @@ def _verify_paper_tables(out) -> list[str]:
         expected = fixtures.fixture_ratfun(fixtures.TUPLE_ORBIT_GF[m])
         via_elements = commuting.burnside_gf(group)
         via_partitions = commuting.symmetric_burnside_gf(m)
-        ok = via_elements == expected and via_partitions == expected
-        print(f"tuple-orbit gf S{m}: {'ok' if ok else 'MISMATCH'}", file=out)
-        if not ok:
-            failures.append(
-                f"S{m} tuple-orbit: expected {expected}, "
-                f"group sum {via_elements}, cycle-type sum {via_partitions}"
-            )
+        _check(out, failures, f"tuple-orbit gf S{m}",
+               via_elements == expected and via_partitions == expected,
+               f"S{m} tuple-orbit: expected {expected}, "
+               f"group sum {via_elements}, cycle-type sum {via_partitions}")
     for m in range(1, 6):
-        group = symmetric_group(m)
         expected = fixtures.fixture_ratfun(fixtures.COMMUTING_ORBIT_GF[m])
-        got = commuting.commuting_gf(group)
-        ok = got == expected
-        print(f"commuting-orbit gf S{m}: {'ok' if ok else 'MISMATCH'}", file=out)
-        if not ok:
-            failures.append(f"S{m} commuting-orbit: expected {expected}, got {got}")
+        got = commuting.commuting_gf(symmetric_group(m))
+        _check(out, failures, f"commuting-orbit gf S{m}", got == expected,
+               f"S{m} commuting-orbit: expected {expected}, got {got}")
     return failures
 
 
 def _verify_oracles(budget: int, out) -> list[str]:
     failures = []
-    group_cases = [("S3", 3), ("S4", 2), ("C6", 3), ("D4", 3)]
-    for name, depth in group_cases:
+    for name, depth in [("S3", 3), ("S4", 2), ("C6", 3), ("D4", 3)]:
         group = parse_group_name(name)
         series = commuting.commuting_gf(group).series(depth)
         counts = commuting.commuting_orbit_counts(group, depth, budget)
-        ok = series == counts
-        print(f"commuting oracle {name} n<={depth}: {'ok' if ok else 'MISMATCH'}", file=out)
-        if not ok:
-            failures.append(f"{name}: series {series} vs oracle {counts}")
+        _check(out, failures, f"commuting oracle {name} n<={depth}", series == counts,
+               f"{name}: series {series} vs oracle {counts}")
     module_gfs = {}
     for q, m, depth in [(2, 2, 2), (3, 2, 1), (2, 3, 2)]:
         module_gfs[q, m] = matrixalg.module_gf(q, m)
         series = module_gfs[q, m].series(depth)
         counts = matrixalg.module_orbit_counts(q, m, depth, budget)
-        ok = series == counts
-        print(f"module oracle q={q} m={m} n<={depth}: {'ok' if ok else 'MISMATCH'}", file=out)
-        if not ok:
-            failures.append(f"module q={q},m={m}: series {series} vs oracle {counts}")
+        _check(out, failures, f"module oracle q={q} m={m} n<={depth}", series == counts,
+               f"module q={q},m={m}: series {series} vs oracle {counts}")
     failures.extend(_report_dim3_reading(module_gfs[2, 3], out))
-    point_total, point_split = configs.config_orbit_oracle("point", 3, 3, budget=budget)
-    ok = point_total == 5 and point_split == [0, 1, 3, 1]
-    print(f"point oracle m=3 n=3: {'ok' if ok else 'MISMATCH'}", file=out)
-    if not ok:
-        failures.append(f"point oracle m=3 n=3 gave {point_total}, {point_split}")
-    vec_total, _ = configs.config_orbit_oracle("vector", 2, 2, q=2, budget=budget)
-    ok = vec_total == configs.q_bell(2, 2)
-    print(f"vector oracle q=2 m=2 n=2: {'ok' if ok else 'MISMATCH'}", file=out)
-    if not ok:
-        failures.append(f"vector oracle q=2 m=2 n=2 gave {vec_total}")
+    totals, by_type = configs.point_orbit_counts(3, 3, budget)
+    _check(out, failures, "point oracle m=3 n=3", totals[3] == 5 and by_type[3] == [0, 1, 3, 1],
+           f"point oracle m=3 n=3 gave {totals[3]}, {by_type[3]}")
+    totals, _ = configs.vector_orbit_counts(2, 2, 2, budget)
+    _check(out, failures, "vector oracle q=2 m=2 n=2", totals[2] == configs.q_bell(2, 2),
+           f"vector oracle q=2 m=2 n=2 gave {totals[2]}")
     for m in (1, 2, 3):
         for n in (1, 2, 3):
-            ok = configs.row_space_bijection_check(2, m, n, budget)
-            print(f"row-space bijection q=2 m={m} n={n}: {'ok' if ok else 'MISMATCH'}", file=out)
-            if not ok:
-                failures.append(f"row-space bijection failed at q=2 m={m} n={n}")
+            _check(out, failures, f"row-space bijection q=2 m={m} n={n}",
+                   configs.row_space_bijection_check(2, m, n, budget),
+                   f"row-space bijection failed at q=2 m={m} n={n}")
     return failures
 
 

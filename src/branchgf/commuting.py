@@ -46,14 +46,16 @@ def commuting_process(group: PermGroup, registry: KeyRegistry | None = None) -> 
     The centralizer tower of the group (engine.centralizer_tower): the
     children of a node with centralizer Z are the conjugacy classes of Z,
     each keyed by the group-isomorphism class of the centralizer in Z of
-    its representative.
+    its representative.  An abelian Z has |Z| classes, each centralized
+    by Z itself, so it lists no class.
     """
-    return centralizer_tower(
-        group,
-        registry if registry is not None else KeyRegistry(),
-        classes=lambda z: [cls.rep for cls in z.conjugacy_classes],
-        centralizer=lambda z, rep: z.centralizer([rep]),
-    )
+
+    def branches(z: PermGroup) -> list[tuple[PermGroup, int]]:
+        if z.is_abelian:
+            return [(z, z.order)]
+        return [(z.centralizer([cls.rep]), 1) for cls in z.conjugacy_classes]
+
+    return centralizer_tower(group, registry if registry is not None else KeyRegistry(), branches)
 
 
 def commuting_gf(group: PermGroup) -> RatFun:

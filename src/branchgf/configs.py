@@ -43,7 +43,6 @@ __all__ = [
     "q_bell",
     "point_orbit_counts",
     "vector_orbit_counts",
-    "config_orbit_oracle",
     "row_space_bijection_check",
     "all_subspaces",
 ]
@@ -280,21 +279,6 @@ def vector_orbit_counts(
         m,
         lambda rep: len(echelon_basis(field, [vectors[i] for i in rep])),
     )
-
-
-def config_orbit_oracle(
-    kind: str, m: int, n: int, q: int | None = None, budget: int = DEFAULT_WORK_BUDGET
-) -> tuple[int, list[int]]:
-    """(total, per-type split) of level-n orbits for kind 'point' or 'vector'."""
-    if kind == "point":
-        totals, by_type = point_orbit_counts(m, n, budget)
-    elif kind == "vector":
-        if q is None:
-            raise ValueError("vector configurations need q")
-        totals, by_type = vector_orbit_counts(q, m, n, budget)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return totals[n], by_type[n]
 
 
 # -- subspaces and the row-space bijection ------------------------------------------

@@ -14,8 +14,9 @@ resolvent, and plain integer vector iteration of the child counts
 (bfs_level_counts / verify_tree).
 
 The group and module trees are both centralizer towers
-(centralizer_tower), and both key a node by the isomorphism class of its
-running centralizer through one IsoRegistry: size buckets, first-seen
+(centralizer_tower): a structure lists a state's classes as (centralizer,
+count) pairs, so one centralizer shared by many classes is keyed once, by
+its isomorphism class, through one IsoRegistry: size buckets, first-seen
 tags and a fast path for an element set seen before.  Each structure
 supplies only its same-set key, size, isomorphism test and label prefix,
 so a key prints as g120.0 for a group or r16.0 for a ring.  Cheap
@@ -134,19 +135,20 @@ class IsoRegistry:
         return key
 
 
-def centralizer_tower(
-    top, registry, classes: Callable, centralizer: Callable
-) -> BranchingProcess:
+def centralizer_tower(top, registry, branches: Callable) -> BranchingProcess:
     """The process whose nodes are running centralizers Z, starting at top.
 
-    The children of Z are keyed by registry.key_for(centralizer(Z, rep))
-    for each class representative rep in classes(Z), and
-    registry.representatives maps a key back to its Z.
+    branches(Z) lists (C, n) pairs: n classes of Z whose representatives
+    have centralizer C in Z.  Each pair adds n children keyed by
+    registry.key_for(C), and registry.representatives maps a key back to
+    its Z.
     """
 
     def children(key: ClassKey) -> Counter:
-        z = registry.representatives[key]
-        return Counter(registry.key_for(centralizer(z, rep)) for rep in classes(z))
+        counts = Counter()
+        for c, n in branches(registry.representatives[key]):
+            counts[registry.key_for(c)] += n
+        return counts
 
     return BranchingProcess(root=registry.key_for(top), children=children)
 

@@ -9,7 +9,8 @@ States are keyed by unital-ring isomorphism classes through
 RingKeyRegistry, the engine's IsoRegistry with the subring's size and the
 ring isomorphism test, which screens by the ring fingerprint itself; and
 module_process builds the tree with engine.centralizer_tower, as
-branchgf.commuting does.
+branchgf.commuting does, listing a state's classes as (centralizer, count)
+pairs.
 
 Matrices are flat tuples of field elements (ints < q) over a
 branchgf.fields.Fq.  MatRing is only the ambient M_m(F_q): arithmetic and
@@ -26,13 +27,14 @@ oracle's unit tables alike.
 
 The tree's root lists no elements.  Its classes are the rational canonical
 forms (similarity_classes), read off the monic irreducibles over F_q, and
-its children are keyed by class type, the multiset of (deg f, lambda_f):
-classes of one type have isomorphic centralizers, so each type builds one
-centralizer null space and takes one key.  The largest element list is
-then a proper centralizer, of at most q^((m-1)^2+1) elements; rings whose
-bound exceeds CENTRALIZER_SIZE_LIMIT, or whose field exceeds
-FIELD_SIZE_LIMIT elements, raise SizeLimitError before their field is
-built (M_4(F_2), M_3(F_7) and M_2(F_139) run).  The brute-force oracle
+grouped by type, the multiset of (deg f, lambda_f): classes of one type
+have isomorphic centralizers, so each type is one pair, with one
+centralizer null space.  A commutative state is one pair too, itself
+|Z| times.  The largest element list is then a proper centralizer, of
+at most q^((m-1)^2+1) elements; rings whose bound exceeds
+CENTRALIZER_SIZE_LIMIT, or whose field exceeds FIELD_SIZE_LIMIT
+elements, raise SizeLimitError before their field is built (M_4(F_2),
+M_3(F_7) and M_2(F_139) run).  The brute-force oracle
 module_orbit_counts enumerates the same classes with branchgf.orbits, on
 rings of up to ORACLE_SIZE_LIMIT elements; it reads the full subring's
 elements, units and unit tables, but nothing of the tree's root classes,
@@ -348,8 +350,6 @@ def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
     """Orbits of the unit group acting on z by conjugation: (least rep, size),
     from the generator tables over z.sorted_elements."""
     elements = z.sorted_elements
-    if z.center.size == z.size:  # commutative: every element is its own class
-        return [(a, 1) for a in elements]
     tables = [table for _g, table in z.unit_generators]
     orbits = orbit_partition(range(len(elements)), tables, lambda i, table: table[i])
     return [(elements[min(o)], len(o)) for o in orbits]
@@ -436,26 +436,21 @@ def _word_basis(
     return span, words
 
 
-def _subring_closure(ring: MatRing, seed: Sequence[Mat]) -> Span:
-    """The subring that seed generates, as the span over F_p (not F_q) of
-    the F_p-vectors of the monoid of seed and 1."""
-    return _word_basis([(ring, seed)])[0]
-
-
 def _ring_generators(z: Subalgebra) -> tuple[Mat, ...]:
     # Smallest elements (by flat-tuple order) that grow the closed subring,
-    # greedily by closure size.
+    # greedily by closure size; a closure is the F_p-span (not F_q) of the
+    # words in its generators.
     ring = z.ring
     dim = ring.field.k * len(z.basis)  # over F_p
     gens: list[Mat] = []
-    closure = _subring_closure(ring, gens)
+    closure = _word_basis([(ring, gens)])[0]
     while len(closure) < dim:
         best = None
         best_closure = None
         for a in z.sorted_elements:
             if ring.fp_vector(a) in closure:
                 continue
-            trial = _subring_closure(ring, gens + [a])
+            trial = _word_basis([(ring, gens + [a])])[0]
             if best_closure is None or len(trial) > len(best_closure):
                 best, best_closure = a, trial
                 if len(trial) == dim:
@@ -558,8 +553,8 @@ def _monic_irreducibles(field: Fq, m: int) -> list[FqPoly]:
     return irreducibles
 
 
-def similarity_classes(ring: MatRing) -> dict[Mat, tuple]:
-    """One representative of each similarity class of M_m(F_q), with its type.
+def similarity_classes(ring: MatRing) -> dict[tuple, list[Mat]]:
+    """One representative of each similarity class of M_m(F_q), grouped by type.
 
     A class is a choice, for some distinct monic irreducibles f of degree
     d, of partitions lambda_f with the sum of d |lambda_f| equal to m (its
@@ -573,7 +568,7 @@ def similarity_classes(ring: MatRing) -> dict[Mat, tuple]:
     field, m = ring.field, ring.m
     irreducibles = _monic_irreducibles(field, m)
     by_size = [list(partitions(n)) for n in range(m + 1)]
-    classes: dict[Mat, tuple] = {}
+    classes: dict[tuple, list[Mat]] = {}
     stack: list[tuple[tuple, int, int]] = [((), 0, 0)]  # (f, lambda_f) chosen, degree used, next f
     while stack:
         chosen, used, start = stack.pop()
@@ -589,7 +584,8 @@ def similarity_classes(ring: MatRing) -> dict[Mat, tuple]:
                             rep[row + i - 1] = 1
                         rep[row + n - 1] = field.neg[g[i]]
                     at += n
-            classes[tuple(rep)] = tuple(sorted((len(f) - 1, parts) for f, parts in chosen))
+            kind = tuple(sorted((len(f) - 1, parts) for f, parts in chosen))
+            classes.setdefault(kind, []).append(tuple(rep))
             continue
         for i in range(start, len(irreducibles)):
             d = len(irreducibles[i]) - 1
@@ -618,24 +614,21 @@ def module_process(q: int, m: int) -> BranchingProcess:
     (engine.centralizer_tower): the children of a state with centralizer
     ring Z are the unit-conjugacy classes of Z, keyed by the
     ring-isomorphism class of the centralizer in Z of a representative.
-    The root's classes are the rational canonical forms, and the classes
-    of one type share one centralizer, so the root lists no elements.
+    The root's classes are the rational canonical forms, one pair per
+    type, and a commutative Z is one pair, Z itself |Z| times, so neither
+    lists its classes one by one.
     """
     full = Subalgebra.full(_matrix_ring(q, m))
     types = similarity_classes(full.ring)
-    by_type: dict[tuple, Subalgebra] = {}
 
-    def classes(z: Subalgebra) -> list[Mat]:
-        return list(types) if z is full else [rep for rep, _size in unit_conjugacy_classes(z)]
+    def branches(z: Subalgebra) -> list[tuple[Subalgebra, int]]:
+        if z is full:
+            return [(centralizer_ring(z, reps[0]), len(reps)) for reps in types.values()]
+        if z.center.size == z.size:
+            return [(z, z.size)]
+        return [(centralizer_ring(z, rep), 1) for rep, _size in unit_conjugacy_classes(z)]
 
-    def centralizer(z: Subalgebra, rep: Mat) -> Subalgebra:
-        if z is not full:
-            return centralizer_ring(z, rep)
-        if types[rep] not in by_type:
-            by_type[types[rep]] = centralizer_ring(z, rep)
-        return by_type[types[rep]]
-
-    return centralizer_tower(full, RingKeyRegistry(), classes, centralizer)
+    return centralizer_tower(full, RingKeyRegistry(), branches)
 
 
 def module_gf(q: int, m: int) -> RatFun:

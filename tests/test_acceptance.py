@@ -18,7 +18,6 @@ from branchgf.commuting import (
 )
 from branchgf.configs import (
     bell,
-    config_orbit_oracle,
     gaussian_binom,
     point_config_process,
     point_orbit_counts,
@@ -133,7 +132,7 @@ def test_criterion_5_configuration_identities():
     for n in range(9):
         assert point_totals[n] == bell(n)
         assert point_types[n] == [stirling2(n, i) for i in range(9)]
-    assert config_orbit_oracle("point", 3, 3)[0] == 5  # five 3-point configurations
+    assert point_orbit_counts(3, 3)[0][3] == 5  # five 3-point configurations
     for n in range(4):
         assert vector_orbit_counts(2, 3, 3)[0][n] == q_bell(n, 2)
     assert vector_orbit_counts(3, 2, 2)[0][2] == q_bell(2, 3)

@@ -75,6 +75,54 @@ def test_product_labels_join_factor_keys():
     assert "(" not in "".join(line for line in dot.splitlines() if "label" in line)
 
 
+CLASS_ORDER = {
+    "S6": (
+        ["g720.0", "g48.1", "g18.2", "g16.3", "g8.4", "g6.5", "g5.6", "g8.7", "g9.8"],
+        [
+            [1, 0, 0, 0, 0, 0, 0, 0, 0],
+            [2, 2, 0, 0, 0, 0, 0, 0, 0],
+            [2, 0, 3, 0, 0, 0, 0, 0, 0],
+            [1, 2, 0, 4, 0, 0, 0, 0, 0],
+            [2, 2, 0, 2, 8, 0, 0, 0, 0],
+            [2, 2, 3, 0, 0, 6, 0, 0, 0],
+            [1, 0, 0, 0, 0, 0, 5, 0, 0],
+            [0, 2, 0, 4, 0, 0, 0, 8, 0],
+            [0, 0, 3, 0, 0, 0, 0, 0, 9],
+        ],
+    ),
+    "C2wrS2xS4": (
+        ["g8.0xg24.3", "g4.1xg24.3", "g4.1xg4.1", "g3.4xg4.1", "g4.1xg8.0", "g4.1xg4.2",
+         "g3.4xg8.0", "g8.0xg8.0", "g4.2xg8.0", "g4.2xg24.3", "g3.4xg4.2", "g4.2xg4.2"],
+        [
+            [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [2, 4, 16, 0, 8, 0, 0, 4, 0, 0, 0, 0],
+            [2, 4, 0, 12, 0, 0, 6, 0, 0, 0, 0, 0],
+            [4, 4, 0, 0, 8, 0, 0, 8, 0, 0, 0, 0],
+            [3, 4, 0, 0, 4, 16, 0, 4, 8, 4, 0, 0],
+            [2, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0],
+            [2, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0],
+            [3, 0, 0, 0, 0, 0, 0, 4, 8, 4, 0, 0],
+            [1, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0],
+            [1, 0, 0, 0, 0, 0, 3, 0, 0, 4, 12, 0],
+            [1, 0, 0, 0, 0, 0, 0, 1, 4, 4, 0, 16],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_ORDER))
+def test_class_order_is_pinned(name):
+    # Discovery order, keys and tags: a change to any of them moves a
+    # label or permutes the matrix.
+    status, text = run_cli(["group", "--name", name, "--show-matrix", "--format", "records"])
+    assert status == EXIT_OK
+    record = json.loads(text.splitlines()[1])
+    labels, matrix = CLASS_ORDER[name]
+    assert record["labels"] == labels
+    assert record["matrix"] == [[str(x) for x in row] for row in matrix]
+
+
 @pytest.mark.parametrize("name,order", [("C2wrS2xS4", 192), ("S6xS6", 518400)])
 def test_product_lists_no_elements(name, order, monkeypatch):
     def refused(*groups):

@@ -77,6 +77,22 @@ def test_abelian_group_single_class():
     assert bm.matrix == ((6,),)
 
 
+def test_abelian_states_are_keyed_once(monkeypatch):
+    # D8 (order 16): the root, its 7 classes, and one key for each of its
+    # two abelian states; listing their elements took 20 calls.
+    calls = []
+    key_for = KeyRegistry.key_for
+
+    def counted(self, group):
+        calls.append(group)
+        return key_for(self, group)
+
+    monkeypatch.setattr(KeyRegistry, "key_for", counted)
+    bm = build_branching(commuting_process(dihedral_group(8)))
+    assert bm.size == 3
+    assert len(calls) <= 10
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_commuting_gf_matches_reference(m):
     got = commuting_gf(symmetric_group(m))

@@ -14,7 +14,6 @@ from branchgf.configs import (
     all_subspaces,
     bell,
     brute_point_orbit_count,
-    config_orbit_oracle,
     gaussian_binom,
     point_config_gf,
     point_config_process,
@@ -267,10 +266,10 @@ def test_q_bell_values():
 
 
 def test_point_oracle_splits():
-    total, split = config_orbit_oracle("point", 3, 3)
-    assert total == 5
-    assert split == [0, 1, 3, 1]
-    assert config_orbit_oracle("point", 4, 0) == (1, [1, 0, 0, 0, 0])
+    totals, by_type = point_orbit_counts(3, 3)
+    assert totals[3] == 5
+    assert by_type[3] == [0, 1, 3, 1]
+    assert point_orbit_counts(4, 0) == ([1], [[1, 0, 0, 0, 0]])
 
 
 def test_point_oracle_matches_gf_up_to_n8():
@@ -291,7 +290,7 @@ def test_point_canonicalization_agrees_with_group_minimum():
 def test_vector_oracle_matches_gf():
     totals, by_type = vector_orbit_counts(2, 2, 4)
     assert totals == vector_config_gf(2, 2).series(4)
-    assert config_orbit_oracle("vector", 2, 2, q=2)[0] == q_bell(2, 2)
+    assert totals[2] == q_bell(2, 2)
     totals3, _ = vector_orbit_counts(2, 3, 3)
     assert totals3 == [1, 2, 5, 16]
     totals_q3, _ = vector_orbit_counts(3, 2, 2)
@@ -316,11 +315,6 @@ def test_oracle_budget():
         point_orbit_counts(5, 6, budget=3)
     with pytest.raises(WorkBudgetError, match="level 1 of 3"):
         vector_orbit_counts(2, 2, 3, budget=3)
-
-
-def test_oracle_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        config_orbit_oracle("frobnicate", 2, 2)
 
 
 def test_oracles_on_zero_dimensional_vectors():

@@ -181,10 +181,7 @@ def test_centralizer_tower_on_subset_lattice():
     # of size k - 1, so level n has k!/(k-n)! nodes.
     registry = _SizeRegistry()
     process = centralizer_tower(
-        frozenset(range(4)),
-        registry,
-        classes=lambda z: sorted(z),
-        centralizer=lambda z, a: z - {a},
+        frozenset(range(4)), registry, lambda z: [(z - {a}, 1) for a in sorted(z)]
     )
     assert process.root == 4
     assert process.child_counts(4) == {3: 4}

@@ -35,7 +35,7 @@ from branchgf.matrixalg import (
     _element_profile,
     _ring_map_extends,
     _ring_generators,
-    _subring_closure,
+    _word_basis,
     ring_fingerprint,
     ring_is_isomorphic,
     similarity_classes,
@@ -291,9 +291,9 @@ def _brute_subring(ring, seed):
 
 
 def _closure_elements(ring, seed):
-    # The ring elements in the F_p-span _subring_closure returns; its
+    # The ring elements in the F_p-span of the words in seed; its
     # dimension must count them.
-    span = _subring_closure(ring, seed)
+    span, _words = _word_basis([(ring, seed)])
     members = {x for x in Subalgebra.full(ring).sorted_elements if ring.fp_vector(x) in span}
     assert len(members) == ring.field.p ** len(span)
     return members
@@ -419,19 +419,19 @@ def test_level_one_counts_similarity_classes():
         m = 0
         while q ** (m * m) <= 2**16:
             classes = similarity_classes(MatRing(field, m))
-            assert len(classes) == similarity_class_count(q, m), (q, m)
+            assert sum(map(len, classes.values())) == similarity_class_count(q, m), (q, m)
             rings += 1
             m += 1
     assert rings == 247
 
 
 def _plain_module_process(q, m):
-    # The tower with no special root: unit-conjugacy orbits of M_m(F_q).
+    # The tower with no special root and no commutative step: one pair per
+    # unit-conjugacy orbit of every state, M_m(F_q) included.
     return centralizer_tower(
         Subalgebra.full(MatRing(Fq(q), m)),
         RingKeyRegistry(),
-        classes=lambda z: [rep for rep, _size in unit_conjugacy_classes(z)],
-        centralizer=centralizer_ring,
+        lambda z: [(centralizer_ring(z, rep), 1) for rep, _size in unit_conjugacy_classes(z)],
     )
 
 
@@ -447,10 +447,9 @@ def test_rational_canonical_root_matches_the_unit_orbit_root(q, m):
 @pytest.mark.parametrize("q,m", [(2, 3), (3, 3), (5, 2)])
 def test_classes_of_one_type_have_isomorphic_centralizers(q, m):
     full = Subalgebra.full(MatRing(Fq(q), m))
-    first = {}
-    for rep, kind in similarity_classes(full.ring).items():
-        first.setdefault(kind, centralizer_ring(full, rep))
-        assert ring_is_isomorphic(first[kind], centralizer_ring(full, rep))
+    for reps in similarity_classes(full.ring).values():
+        first = centralizer_ring(full, reps[0])
+        assert all(ring_is_isomorphic(first, centralizer_ring(full, rep)) for rep in reps)
 
 
 def test_root_lists_no_elements(monkeypatch):
@@ -465,6 +464,42 @@ def test_root_lists_no_elements(monkeypatch):
     build_branching(module_process(2, 3))
     (root,) = roots
     assert not {"sorted_elements", "units", "unit_generators"} & set(vars(root))
+
+
+def test_commutative_states_and_root_types_are_keyed_once(monkeypatch):
+    # M_2(F_4): the root, its four class types, and three commutative
+    # states, each one pair; listing classes one by one took 69 calls.
+    calls = []
+    key_for = RingKeyRegistry.key_for
+
+    def counted(self, z):
+        calls.append(z)
+        return key_for(self, z)
+
+    monkeypatch.setattr(RingKeyRegistry, "key_for", counted)
+    bm = build_branching(module_process(4, 2))
+    assert bm.size == 4
+    assert len(calls) <= 8
+
+
+def test_module_tree_class_order_is_pinned():
+    # Discovery order, keys and tags of M_3(F_2), as breadth-first search
+    # over the root's class types has always found them.
+    bm = build_branching(module_process(2, 3))
+    assert bm.labels == (
+        "r512.0", "r8.1", "r8.2", "r32.3", "r8.4", "r8.5", "r32.6", "r8.7", "r8.8"
+    )
+    assert bm.matrix == (
+        (2, 0, 0, 0, 0, 0, 0, 0, 0),
+        (2, 8, 0, 0, 0, 0, 0, 0, 0),
+        (2, 0, 8, 2, 0, 0, 0, 0, 0),
+        (2, 0, 0, 4, 0, 0, 0, 0, 0),
+        (2, 0, 0, 0, 8, 0, 2, 0, 0),
+        (2, 0, 0, 4, 0, 8, 4, 0, 0),
+        (2, 0, 0, 0, 0, 0, 4, 0, 0),
+        (0, 0, 0, 4, 0, 0, 0, 8, 0),
+        (0, 0, 0, 0, 0, 0, 2, 0, 8),
+    )
 
 
 @pytest.mark.parametrize("q", [4, 5])
