@@ -346,7 +346,9 @@ def cmd_verify(args, out) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, built once and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="branchgf",
         description="Exact rational generating functions for self-similar rooted trees.",
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mat.add_argument("--q", type=_prime_power, required=True)
     p_mat.add_argument("--m", type=_count, required=True)
     # Accepted and ignored: every ring up to the size bound runs, but
-    # bench/workloads.py passes --stretch; ROADMAP item A removes it there
+    # bench/workloads.py passes --stretch; ROADMAP item D removes it there
     # and here together with the benchmark refresh.
     p_mat.add_argument("--stretch", action="store_true", help=argparse.SUPPRESS)
     p_mat.set_defaults(func=cmd_matrix_alg)

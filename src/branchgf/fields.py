@@ -3,8 +3,7 @@
 Fq reads its tables off schoolbook arithmetic in F_p[t]/(f): addition adds
 base-p digits without carry, and multiplication adds discrete logarithms to
 the base of a generator of the nonzero residues.  Span keeps a subspace of
-F_q^n in reduced row echelon form; its basis names the subspace, and over the
-prime subfield (the elements 0..p-1) it spans F_p-vectors with the same tables.
+F_q^n in reduced row echelon form, and its basis names the subspace.
 span_values lists a span in coefficient order, so a linear map is evaluated
 on a whole space from its basis images with one vector addition per element.
 """
@@ -142,8 +141,7 @@ def _mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) 
 class Span:
     """A subspace of F_q^n grown one vector at a time, kept in reduced row
     echelon form: each row has a leading 1 in a column that is zero in every
-    other row.  Over F_p the field's tables serve as they are, since the
-    integers 0..p-1 are its prime subfield.
+    other row.
     """
 
     def __init__(self, field: Fq):

@@ -5,9 +5,9 @@ isomorphism classes of m-dimensional modules over a polynomial algebra in
 n variables - form a self-similar rooted tree exactly as commuting tuples
 in a group do, with the running centralizer subring in the role of the
 centralizer subgroup and unit-group conjugacy in the role of conjugacy.
-States are keyed by unital-ring isomorphism classes through
+States are keyed by F_q-algebra isomorphism classes through
 RingKeyRegistry, the engine's IsoRegistry with the subring's size and the
-ring isomorphism test, which screens by the ring fingerprint itself; and
+isomorphism test, which screens by the ring fingerprint itself; and
 module_process builds the tree with engine.centralizer_tower, as
 branchgf.commuting does, listing a state's classes as (centralizer, count)
 pairs.
@@ -17,13 +17,14 @@ branchgf.fields.Fq.  MatRing is only the ambient M_m(F_q): arithmetic and
 matrix units.  Every subring, the whole ring Subalgebra.full included, is
 a Subalgebra made from its reduced row echelon F_q-basis, which names it:
 the center is the null space of one linear map, and so is the centralizer
-of a non-central element, the isomorphism test is linear algebra over
-F_p, and element lists are built only where unit-group orbits need them;
-linear maps on them are evaluated from basis images by
-fields.span_values.  Units are read off determinants, with no inverse per
-element.  Unit generators and their conjugation tables are chosen in one
-place, Subalgebra.unit_generators, for the tree's unit classes and the
-oracle's unit tables alike.
+of a non-central element, the isomorphism test evaluates one presentation
+per prefix of the generators on their images, and element lists are built
+only where unit-group orbits and that search need them; linear maps on
+them are evaluated from basis images by fields.span_values.  Units are
+read off determinants, with no inverse per element.  Unit generators and
+their conjugation tables are chosen in one place,
+Subalgebra.unit_generators, for the tree's unit classes and the oracle's
+unit tables alike.
 
 The tree's root lists no elements.  Its classes are the rational canonical
 forms (similarity_classes), read off the monic irreducibles over F_q, and
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from functools import cache, cached_property, partial, reduce
 from typing import Sequence
 
@@ -53,7 +53,7 @@ from .engine import BranchingProcess, IsoKey, IsoRegistry, build_branching
 from .commuting import partitions
 from .engine import centralizer_tower, gf_total
 from .errors import ElementNotInAlgebraError, SizeLimitError
-from .fields import Fq, Span, _digits, prime_power, span_values
+from .fields import Fq, Span, prime_power, span_values
 from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, extend_map
 from .orbits import canonical_form, greedy_generators, orbit_partition, search_images
 from .polyring import RatFun
@@ -198,13 +198,6 @@ class MatRing:
     def mul(self, a: Mat, b: Mat) -> Mat:
         return mat_mul(self.field, a, b, self.m)
 
-    def fp_vector(self, a: Mat) -> tuple[int, ...]:
-        """a as a vector over the prime field: the base-p digits of its entries."""
-        field = self.field
-        if field.k == 1:
-            return a
-        return tuple(d for x in a for d in _digits(x, field.p, field.k))
-
     def __repr__(self) -> str:
         return f"MatRing(F_{self.field.q}, m={self.m})"
 
@@ -266,6 +259,7 @@ class Subalgebra:
         The powers of u up to its order o give all the orders of its cyclic
         group at once: u^j has order o / gcd(j, o).  They hold u's inverse
         u^(o-1), so each must lie in the set, or the set is not a subring.
+        Only unit_generators reads them, to rank its candidates.
         """
         orders: dict[Mat, int] = {}
         for u in self.units:
@@ -304,7 +298,7 @@ class Subalgebra:
         return Subalgebra(ring, _null_space(ring.field, [sum(row, ()) for row in brackets], basis))
 
     @cached_property
-    def ring_generators(self) -> tuple[Mat, ...]:
+    def ring_generators(self) -> tuple[tuple[Mat, Presentation], ...]:
         return _ring_generators(self)
 
     def __repr__(self) -> str:
@@ -387,95 +381,78 @@ def _nilpotency_index(ring: MatRing, a: Mat) -> int:
 
 def ring_fingerprint(z: Subalgebra) -> tuple:
     """Cheap isomorphism invariants of unital rings of one size: center
-    size and unit orders.
+    size and number of units.  With the size, the center size fixes
+    commutativity."""
+    return (z.center.size, len(z.units))
 
-    With the size they fix the number of units (the sum of the order
-    counts) and commutativity (center size equal to size).
+
+# Per generator prefix: the steps (i, j), kept word = word i times generator
+# j, and the relations (i, j, c), word i times generator j = sum c_l word l.
+Presentation = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, tuple[int, ...]], ...]]
+
+
+def _word_basis(ring: MatRing, gens: Sequence[Mat]) -> tuple[Span, Presentation]:
+    """The words in gens that span the F_q-subalgebra they generate.
+
+    Starting from the identity, word 0, each kept word is multiplied by
+    every generator in turn, breadth-first, and a product is kept when it
+    is F_q-independent of the words kept so far; otherwise its coordinates
+    in them make a relation.  The span holds each kept word w_l as the row
+    w_l + e_l, so reducing x + 0 leaves -c in the second half when x is
+    the combination c of the kept words.
     """
-    return (z.center.size, tuple(sorted(Counter(z.unit_orders.values()).items())))
+    width, neg = len(ring.zero), ring.field.neg
+    span = Span(ring.field)
+    span.add(ring.identity + ring.standard_basis[0])
+    words, steps, relations = [ring.identity], [], []
+    for i, word in enumerate(words):  # grows while it is walked
+        for j, g in enumerate(gens):
+            x = ring.mul(word, g)
+            reduced = span.reduce(x + ring.zero)
+            if any(reduced[:width]):
+                reduced[width + len(words)] = 1
+                span.insert(reduced)
+                steps.append((i, j))
+                words.append(x)
+            else:
+                relations.append((i, j, tuple(neg[c] for c in reduced[width : width + len(words)])))
+    return span, (tuple(steps), tuple(relations))
 
 
-def _word_basis(
-    sides: Sequence[tuple[MatRing, Sequence[Mat]]]
-) -> tuple[Span, list[tuple[Mat, ...]]] | None:
-    """Words in the generators, evaluated on every side at once, over F_p.
-
-    A word is a tuple with one matrix per side.  Starting from the
-    identities, each kept word is multiplied by every generator in turn
-    (the i-th generator of each side together), breadth-first, and each
-    product is reduced against the span of the concatenated F_p-vectors of
-    the words kept so far.  It is kept when the first side's part is
-    independent.  None comes back as soon as the first side's part is
-    dependent but the rest is not: the words then give one element of the
-    first side two values on another.  Otherwise the span and the kept
-    words come back; their first side's parts are an F_p-basis of the
-    subring that the first side's generators generate.
-    """
-    rings = [ring for ring, _ in sides]
-    gens = list(zip(*(g for _, g in sides)))
-    width = len(rings[0].fp_vector(rings[0].identity))
-    span = Span(rings[0].field)
-    words: list[tuple[Mat, ...]] = []
-
-    def visit(word: tuple[Mat, ...]) -> bool:
-        # Keep word if new on the first side; False on a conflict.
-        reduced = span.reduce([c for ring, x in zip(rings, word) for c in ring.fp_vector(x)])
-        lead = next((i for i, c in enumerate(reduced) if c), None)
-        if lead is not None:
-            if lead >= width:
-                return False
-            span.insert(reduced)
-            words.append(word)
-        return True
-
-    visit(tuple(ring.identity for ring in rings))
-    for word in words:  # grows while it is walked
-        for g in gens:
-            if not visit(tuple(ring.mul(x, h) for ring, x, h in zip(rings, word, g))):
-                return None
-    return span, words
-
-
-def _ring_generators(z: Subalgebra) -> tuple[Mat, ...]:
-    # Smallest elements (by flat-tuple order) that grow the closed subring,
-    # greedily by closure size; a closure is the F_p-span (not F_q) of the
-    # words in its generators.
-    ring = z.ring
-    dim = ring.field.k * len(z.basis)  # over F_p
-    gens: list[Mat] = []
-    closure = _word_basis([(ring, gens)])[0]
-    while len(closure) < dim:
-        best = None
-        best_closure = None
-        for a in z.sorted_elements:
-            if ring.fp_vector(a) in closure:
-                continue
-            trial = _word_basis([(ring, gens + [a])])[0]
-            if best_closure is None or len(trial) > len(best_closure):
-                best, best_closure = a, trial
-                if len(trial) == dim:
-                    break
-        gens.append(best)
-        closure = best_closure
-    return tuple(gens)
+def _ring_generators(z: Subalgebra) -> tuple[tuple[Mat, Presentation], ...]:
+    """Generators of z as an F_q-algebra, in one walk over sorted_elements:
+    each element outside the subalgebra of those before it is one.  Each
+    comes with the presentation of the subalgebra it and those before it
+    generate."""
+    ring, gens, out = z.ring, [], []
+    span, _presentation = _word_basis(ring, gens)
+    for a in z.sorted_elements:
+        if len(span) == len(z.basis):
+            break
+        if any(span.reduce(a + ring.zero)[: len(a)]):
+            gens.append(a)
+            span, presentation = _word_basis(ring, gens)
+            out.append((a, presentation))
+    return tuple(out)
 
 
 def _element_profile(z: Subalgebra, a: Mat) -> tuple:
     ring = z.ring
-    nonzero, order = any(a), z.unit_orders.get(a, 0)
-    if order and nonzero:  # a nonzero unit is not nilpotent, and is idempotent only as 1
+    nonzero, unit = any(a), mat_det(ring.field, a, ring.m) != 0
+    if unit and nonzero:  # a nonzero unit is not nilpotent, and is idempotent only as 1
         powers = (0, a == ring.identity)
     else:
         powers = (_nilpotency_index(ring, a), ring.mul(a, a) == a)
-    return (ring.field.p if nonzero else 1, order, *powers, a in z.center)
+    return (ring.field.p if nonzero else 1, unit, *powers, a in z.center)
 
 
 def ring_is_isomorphic(z1: Subalgebra, z2: Subalgebra) -> bool:
-    """Decide unital-ring isomorphism by searching images of a generating set.
+    """Decide F_q-algebra isomorphism of two subrings of matrix rings over
+    one F_q by searching images of a generating set.
 
     Screens by the size and then ring_fingerprint.  Each generator of z1
-    (none for the prime ring) tries, in sorted order, the elements of z2
-    with the same element profile; orbits.search_images keeps a prefix of
+    (none for F_q itself) tries, in sorted order, the elements of z2 with
+    the same element profile; orbits.search_images keeps a prefix of
     images only while _ring_map_extends accepts it, so one conflict drops
     every tuple that begins with that prefix.
     """
@@ -483,36 +460,44 @@ def ring_is_isomorphic(z1: Subalgebra, z2: Subalgebra) -> bool:
         return False
     if z1.ring is z2.ring and z1.basis == z2.basis:
         return True
-    gens = z1.ring_generators
     profiles = [_element_profile(z2, b) for b in z2.sorted_elements]
     candidates = [
         [b for b, profile in zip(z2.sorted_elements, profiles) if profile == wanted]
-        for wanted in (_element_profile(z1, g) for g in gens)
+        for wanted in (_element_profile(z1, g) for g, _presentation in z1.ring_generators)
     ]
-    return search_images(candidates, partial(_ring_map_extends, z1, z2, gens))
+    return search_images(candidates, partial(_ring_map_extends, z1, z2))
 
 
-def _ring_map_extends(
-    z1: Subalgebra, z2: Subalgebra, gens: Sequence[Mat], images: Sequence[Mat]
-) -> bool:
-    """Whether the first generators -> images extends to a one-to-one ring map.
+def _ring_map_extends(z1: Subalgebra, z2: Subalgebra, images: Sequence[Mat]) -> bool:
+    """Whether z1's first generators -> images extends to a one-to-one
+    F_q-algebra map.
 
-    The words in those generators that _word_basis keeps are an F_p-basis
-    of the subring S of z1 that they generate; f maps each to the same word
-    in images, F_p-linearly.  With no conflict every product w*g of a basis
-    word and a generator maps to f(w)*f(g), so by linearity and induction
-    on words f is a unital ring homomorphism on S; it is one-to-one when
-    the image words are F_p-independent.  With every generator S is z1,
-    and f is then onto z2, as |z1| = |z2|.  An isomorphism extending
-    gens -> images is such an f on every S, so it passes at every prefix.
+    The kept words of the prefix's presentation are an F_q-basis of the
+    subalgebra S of z1 that those generators generate; f maps each to the
+    same word in images, F_q-linearly.  When the image words are
+    independent and satisfy every relation, f(w g) = f(w) f(g) for each
+    kept word w and generator g (g = 1 g is a step or a relation too), so
+    by linearity and induction on words f is a one-to-one F_q-algebra map
+    on S.  With every generator S is z1, and f is then onto z2, as
+    |z1| = |z2|.  An isomorphism extending gens -> images is such an f on
+    every S, so it passes at every prefix.
     """
-    found = _word_basis([(z1.ring, gens[: len(images)]), (z2.ring, images)])
-    if found is None:
-        return False
-    _span, words = found
-    r2 = z2.ring
-    images_span = Span(r2.field)
-    return all(images_span.add(r2.fp_vector(image)) for _, image in words)
+    steps, relations = z1.ring_generators[len(images) - 1][1]
+    ring, add, mul = z2.ring, z2.ring.field.add, z2.ring.field.mul
+    words, span = [ring.identity], Span(ring.field)
+    span.add(ring.identity)
+    for i, j in steps:
+        words.append(ring.mul(words[i], images[j]))
+        if not span.add(words[-1]):
+            return False
+    for i, j, coords in relations:
+        value = ring.zero
+        for c, w in zip(coords, words):
+            if c:
+                value = tuple(add[x][mul[c][y]] for x, y in zip(value, w))
+        if ring.mul(words[i], images[j]) != value:
+            return False
+    return True
 
 
 class RingKeyRegistry(IsoRegistry):

@@ -190,7 +190,7 @@ ONE = Poly([1])
 T = Poly([0, 1])
 
 
-def poly_str(p: Poly, var: str = "t") -> str:
+def poly_str(p: Poly) -> str:
     """Render like "1 - 3*t + t^2" (ascending powers)."""
     if p.is_zero:
         return "0"
@@ -202,9 +202,9 @@ def poly_str(p: Poly, var: str = "t") -> str:
         if n == 0:
             body = str(mag)
         elif n == 1:
-            body = var if mag == 1 else f"{mag}*{var}"
+            body = "t" if mag == 1 else f"{mag}*t"
         else:
-            body = f"{var}^{n}" if mag == 1 else f"{mag}*{var}^{n}"
+            body = f"t^{n}" if mag == 1 else f"{mag}*t^{n}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import branchgf
 from branchgf import cli, commuting, configs, perms
 from branchgf.cli import (
     EXIT_LIMIT,
@@ -25,6 +30,25 @@ def run_cli(argv):
     out = io.StringIO()
     status = main(argv, out=out)
     return status, out.getvalue()
+
+
+def _run_module(*argv):
+    # `python -m branchgf.cli` in a fresh interpreter, on this checkout's package.
+    env = {**os.environ, "PYTHONPATH": str(Path(branchgf.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "branchgf.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_in_a_fresh_interpreter():
+    done = _run_module("matrix-alg", "--q", "2", "--m", "2", "--terms", "3")
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert done.stdout == (
+        "h[q=2,m=2] = 1/((1 - 2*t)*(1 - 4*t))\n  coefficients 0..3: [1, 6, 28, 120]\n"
+    )
+    done = _run_module("matrix-alg", "--q", "6", "--m", "2")
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    assert "error: argument --q: 6 is not a prime power" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_group_commuting_s3_text():

@@ -276,8 +276,10 @@ def test_centralizer_membership_check():
 
 
 def _brute_subring(ring, seed):
-    # Least set holding 0, 1 and seed that is closed under +, * and reversed *.
-    known = {ring.zero, ring.identity, *seed}
+    # Least set holding 0, the scalars c * 1 and seed that is closed under
+    # +, * and reversed *: the F_q-subalgebra that seed generates.
+    known = {ring.zero, *(tuple(ring.field.mul[c][x] for x in ring.identity)
+                          for c in range(ring.field.q)), *seed}
     while True:
         grown = known | {
             c
@@ -291,11 +293,15 @@ def _brute_subring(ring, seed):
 
 
 def _closure_elements(ring, seed):
-    # The ring elements in the F_p-span of the words in seed; its
-    # dimension must count them.
-    span, _words = _word_basis([(ring, seed)])
-    members = {x for x in Subalgebra.full(ring).sorted_elements if ring.fp_vector(x) in span}
-    assert len(members) == ring.field.p ** len(span)
+    # The ring elements in the F_q-span of the words in seed; its
+    # dimension must count them.  Span rows are word + coordinates, so an
+    # element is in the span when it reduces to zero in its first half.
+    span, _presentation = _word_basis(ring, seed)
+    members = {
+        x for x in Subalgebra.full(ring).sorted_elements
+        if not any(span.reduce(x + ring.zero)[: len(x)])
+    }
+    assert len(members) == ring.field.q ** len(span)
     return members
 
 
@@ -306,9 +312,9 @@ def test_subring_closure_matches_brute_force():
     m2f4 = MatRing(Fq(4), 2)
     for a in Subalgebra.full(m2f4).sorted_elements[::5]:
         assert _closure_elements(m2f4, [a]) == _brute_subring(m2f4, [a]), a
-    # The span is additive, over F_2: the idempotent E11 generates
-    # {0, 1, E11, 1 + E11}, not the 16-element F_4-span.
-    assert len(_closure_elements(m2f4, [(1, 0, 0, 0)])) == 4
+    # The span is over F_4: the idempotent E11 generates its 16-element
+    # F_4-span with 1, not the prime ring's {0, 1, E11, 1 + E11}.
+    assert len(_closure_elements(m2f4, [(1, 0, 0, 0)])) == 16
 
 
 def test_unit_classes_of_full_m1():
@@ -383,9 +389,8 @@ def test_ring_iso_conjugate_subalgebras():
 def test_ring_fingerprint_fields():
     ring = MatRing(Fq(2), 2)
     f4 = _f4_subalgebra(ring)
-    center, unit_orders = ring_fingerprint(f4)
-    assert f4.size == 4 and unit_orders == ((1, 1), (3, 2))
-    assert sum(count for _order, count in unit_orders) == 3  # units
+    center, units = ring_fingerprint(f4)
+    assert f4.size == 4 and units == 3
     assert center == f4.size  # commutative
 
 
@@ -728,15 +733,17 @@ def test_ring_fingerprint_only_inside_the_iso_test(monkeypatch):
     assert per_test and max(per_test) <= 2 and stray == []
 
 
-def test_ring_extension_check_matches_reference():
+def _extension_check_outcomes():
+    # Reference outcome -> count, and the samples where _ring_map_extends
+    # disagrees with the reference.
     rng = random.Random(6)
-    outcomes = Counter()
+    outcomes, mismatches = Counter(), []
     for q in (2, 3):
         corpus = _reached_subrings(q, 1, rng)
         for z1, z2 in itertools.product(corpus, repeat=2):
             if z1.size != z2.size:
                 continue
-            gens = _ring_generators(z1)
+            gens = [g for g, _presentation in z1.ring_generators]
             profiles = [_element_profile(z1, g) for g in gens]
             profiled = [
                 [b for b in z2.sorted_elements if _element_profile(z2, b) == p] for p in profiles
@@ -747,9 +754,62 @@ def test_ring_extension_check_matches_reference():
             samples += [tuple(rng.choice(z2.sorted_elements) for _ in gens) for _ in range(tries)]
             for images in samples:
                 expected = _reference_extends_to_ring_isomorphism(z1, z2, gens, images)
-                assert _ring_map_extends(z1, z2, gens, images) == expected, (z1, z2, images)
+                if _ring_map_extends(z1, z2, images) != expected:
+                    mismatches.append((z1, z2, images))
                 outcomes[expected] += 1
+    return outcomes, mismatches
+
+
+def test_ring_extension_check_matches_reference():
+    outcomes, mismatches = _extension_check_outcomes()
+    assert mismatches == []
     assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+
+def test_ring_extension_check_needs_every_relation(monkeypatch):
+    # A presentation that drops its last relation accepts maps that are
+    # not ring maps, and the reference comparison catches it.
+    word_basis = matrixalg._word_basis
+
+    def dropping(*args):
+        span, (steps, relations) = word_basis(*args)
+        return span, (steps, relations[:-1])
+
+    monkeypatch.setattr(matrixalg, "_word_basis", dropping)
+    assert _extension_check_outcomes()[1]
+
+
+def test_words_are_walked_once_per_generator_prefix(monkeypatch):
+    # While M_4(F_2) is built, each registry representative walks the words
+    # of each prefix of its ring generators once, the empty one included.
+    # Walking them again for every image prefix and for every candidate
+    # generator took 2774 walks.
+    walks, prefixes = [0], [0]
+    word_basis, ring_generators = matrixalg._word_basis, matrixalg._ring_generators
+
+    def counted_walk(*args):
+        walks[0] += 1
+        return word_basis(*args)
+
+    def counted_choice(z):
+        gens = ring_generators(z)
+        prefixes[0] += len(gens) + 1
+        return gens
+
+    monkeypatch.setattr(matrixalg, "_word_basis", counted_walk)
+    monkeypatch.setattr(matrixalg, "_ring_generators", counted_choice)
+    assert build_branching(module_process(2, 4)).size == 33
+    assert 0 < walks[0] <= prefixes[0]
+
+
+@pytest.mark.parametrize(
+    "q,m,size", [(q, 2, 4) for q in (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128)]
+    + [(4, 3, 9)],
+)
+def test_class_counts_over_non_prime_fields(q, m, size):
+    # Subrings are keyed as F_q-algebras, which could only split a ring
+    # isomorphism class; the counts are those of keys by ring isomorphism.
+    assert build_branching(module_process(q, m)).size == size
 
 
 def test_ring_iso_is_equivalence_on_corpus():
