@@ -18,13 +18,11 @@ enumeration (branchgf.orbits).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from typing import Iterator
 
 from .engine import BranchingProcess, build_branching, centralizer_tower, gf_total
 from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
-from .perms import KeyRegistry, PermGroup
+from .perms import KeyRegistry, PermGroup, partitions, zlambda
 from .polyring import Poly, RatFun, ratfun_sum
 
 __all__ = [
@@ -93,35 +91,6 @@ def burnside_gf_elementwise(group: PermGroup) -> RatFun:
 
 
 # -- symmetric-group partition formula ----------------------------------------
-
-
-def partitions(m: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of m as weakly decreasing tuples, lexicographically ascending."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-
-    def gen(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(1, min(cap, remaining) + 1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    yield from gen(m, m)
-
-
-def zlambda(partition: tuple[int, ...]) -> int:
-    """Centralizer order of a permutation with the given cycle type."""
-    if any(p <= 0 for p in partition):
-        raise ValueError("partition parts must be positive")
-    mult: dict[int, int] = {}
-    for part in partition:
-        mult[part] = mult.get(part, 0) + 1
-    out = 1
-    for part, m in mult.items():
-        out *= math.factorial(m) * part**m
-    return out
 
 
 def symmetric_burnside_gf(m: int) -> RatFun:

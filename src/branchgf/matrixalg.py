@@ -301,6 +301,11 @@ class Subalgebra:
     def ring_generators(self) -> tuple[tuple[Mat, Presentation], ...]:
         return _ring_generators(self)
 
+    @cached_property
+    def element_profiles(self) -> tuple[tuple, ...]:
+        """_element_profile of each element, in the order of sorted_elements."""
+        return tuple(_element_profile(self, b) for b in self.sorted_elements)
+
     def __repr__(self) -> str:
         return f"Subalgebra(size={self.size} of {self.ring!r})"
 
@@ -460,9 +465,8 @@ def ring_is_isomorphic(z1: Subalgebra, z2: Subalgebra) -> bool:
         return False
     if z1.ring is z2.ring and z1.basis == z2.basis:
         return True
-    profiles = [_element_profile(z2, b) for b in z2.sorted_elements]
     candidates = [
-        [b for b, profile in zip(z2.sorted_elements, profiles) if profile == wanted]
+        [b for b, profile in zip(z2.sorted_elements, z2.element_profiles) if profile == wanted]
         for wanted in (_element_profile(z1, g) for g, _presentation in z1.ring_generators)
     ]
     return search_images(candidates, partial(_ring_map_extends, z1, z2))

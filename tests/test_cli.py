@@ -24,6 +24,7 @@ from branchgf.cli import (
 from branchgf.commuting import commuting_gf
 from branchgf.engine import build_branching
 from branchgf.perms import symmetric_group
+from branchgf.zsets import symmetric_commuting_counts
 
 
 def run_cli(argv):
@@ -164,6 +165,50 @@ def test_product_lists_no_elements(name, order, monkeypatch):
     monkeypatch.setattr(perms.PermGroup, "__init__", guarded)
     for kind in ("commuting", "burnside"):
         assert run_cli(["group", "--name", name, "--kind", kind])[0] == EXIT_OK
+
+
+def _recorded_symmetric_groups(monkeypatch) -> list:
+    built = []
+
+    def recording(m):
+        built.append(symmetric_group(m))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "symmetric_group", recording)
+    return built
+
+
+def _series(text: str) -> list[int]:
+    return [int(c) for c in json.loads(text.splitlines()[0])["series"]]
+
+
+def test_s7_series_is_the_closed_form():
+    status, text = run_cli(["group", "--name", "S7", "--terms", "8", "--format", "records"])
+    assert status == EXIT_OK
+    assert _series(text) == symmetric_commuting_counts(7, 8)
+
+
+def test_s9_tree_lists_no_root_element(monkeypatch):
+    built = _recorded_symmetric_groups(monkeypatch)
+    status, text = run_cli(["group", "--name", "S9", "--terms", "6", "--format", "records"])
+    assert status == EXIT_OK
+    assert _series(text) == symmetric_commuting_counts(9, 6)
+    (root,) = built
+    assert "elements" not in vars(root)
+
+
+@pytest.mark.parametrize("name", ["S9", "S9xC2"])
+def test_burnside_on_s9_reads_class_sizes(name, monkeypatch):
+    # f_n = (1/|G|) sum over g of |Z(g)|^n = sum over classes of |Z|^(n-1),
+    # with |Z| = z_lambda on S9, times 2 for each of C2's two classes.
+    built = _recorded_symmetric_groups(monkeypatch)
+    status, text = run_cli(["group", "--name", name, "--kind", "burnside", "--terms", "5",
+                            "--format", "records"])
+    assert status == EXIT_OK
+    assert built and all("elements" not in vars(group) for group in built)
+    factor, copies = (2, 2) if name == "S9xC2" else (1, 1)
+    zs = [factor * perms.zlambda(lam) for lam in perms.partitions(9)]
+    assert _series(text) == [1] + [copies * sum(z ** (n - 1) for z in zs) for n in range(1, 6)]
 
 
 def test_product_bound_names_the_class_counts(capsys):
@@ -416,7 +461,8 @@ EXIT_CODE_CASES = [
     (["configs", "--kind", "point", "--q", "2", "--m", "2"], EXIT_USAGE),
     (["configs", "--kind", "vector", "--q", "6", "--m", "2"], EXIT_USAGE),
     (["group", "--name", "S3", "--terms", "-1"], EXIT_USAGE),
-    (["group", "--name", "S7"], EXIT_USAGE),
+    (["group", "--name", "S7"], EXIT_OK),
+    (["group", "--name", "S10"], EXIT_USAGE),
     (["verify", "--suite", "oracles", "--budget", "-1"], EXIT_USAGE),
     (["matrix-alg", "--q", "4", "--m", "2"], EXIT_OK),
     (["matrix-alg", "--q", "4", "--m", "2", "--stretch", "--terms", "3"], EXIT_OK),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,7 @@ from branchgf.perms import (
     wreath_c2_s2,
 )
 from branchgf.polyring import Poly, RatFun, one_minus
+from branchgf.zsets import symmetric_commuting_counts
 
 
 def matrices_match_up_to_reordering(a, b) -> bool:
@@ -285,12 +287,56 @@ def bryan_fulman_count(m, n):
 
 
 def test_bryan_fulman_formula_s6_values():
-    assert [bryan_fulman_count(6, n) for n in range(9)] == [
-        1, 11, 92, 717, 5512, 42601, 333012, 2635637, 21102992,
-    ]
+    values = [1, 11, 92, 717, 5512, 42601, 333012, 2635637, 21102992]
+    assert [bryan_fulman_count(6, n) for n in range(9)] == values
+    assert symmetric_commuting_counts(6, 8) == values
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+def test_closed_form_recursion_matches_the_factorization_sum():
+    # a_n(d) by the divisor recursion, against its expansion over ordered
+    # factorizations d_1...d_n = d.
+    for m in range(8):
+        assert symmetric_commuting_counts(m, 5) == [bryan_fulman_count(m, n) for n in range(6)]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
 def test_commuting_gf_matches_bryan_fulman(m):
     series = commuting_gf(symmetric_group(m)).series(8)
-    assert series == [bryan_fulman_count(m, n) for n in range(9)]
+    assert series == symmetric_commuting_counts(m, 8)
+
+
+def test_product_rule_on_s7xc2_matches_the_closed_form():
+    # h_n(G x H) = h_n(G) h_n(H), and h_n(C2) = 2^n.
+    series = gf_total(build_branching(product_tree("S7xC2"))).series(8)
+    assert series == [h * 2**n for n, h in enumerate(symmetric_commuting_counts(7, 8))]
+
+
+def _minimal_recurrence(seq):
+    """Berlekamp-Massey over the rationals: the shortest c with
+    seq[k] = sum_i c[i] seq[k-1-i] for every k >= len(c)."""
+    c, b, order, shift, last = [], [], 0, 1, Fraction(1)
+    for k, value in enumerate(seq):
+        discrepancy = value - sum(ci * seq[k - 1 - i] for i, ci in enumerate(c))
+        if discrepancy == 0:
+            shift += 1
+            continue
+        scale = discrepancy / last
+        update = [0] * (shift - 1) + [scale] + [-scale * bi for bi in b]
+        new = [x + y for x, y in itertools.zip_longest(c, update, fillvalue=0)]
+        if 2 * order <= k:
+            b, order, last, shift = c, k + 1 - order, discrepancy, 1
+        else:
+            shift += 1
+        c = new
+    return (c + [0] * order)[:order]
+
+
+def test_s5_fixture_row_computed_from_the_closed_form():
+    # The gf of a sequence with a recurrence of order L is P(t) / (1 - sum
+    # c_i t^i) with deg P < L; 30 terms fix a recurrence of order <= 15.
+    series = symmetric_commuting_counts(5, 29)
+    c = _minimal_recurrence(series)
+    assert len(c) <= 15 and all(x.denominator == 1 for x in c)
+    den = Poly([1, *(-int(x) for x in c)])
+    num = Poly((den * Poly(series)).coeffs[: len(c)])
+    assert RatFun(num, den) == fixture_ratfun(COMMUTING_ORBIT_GF[5])

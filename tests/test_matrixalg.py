@@ -386,6 +386,22 @@ def test_ring_iso_conjugate_subalgebras():
     assert reg.key_for(diag) == reg.key_for(conj)
 
 
+def test_ring_iso_profiles_each_subring_once(monkeypatch):
+    ring = MatRing(Fq(2), 2)
+    diag = _diagonal_subalgebra(ring)
+    u = (1, 1, 0, 1)
+    uinv = mat_inv(ring.field, u, ring.m)
+    conj = _listed(ring, [ring.mul(ring.mul(u, a), uinv) for a in diag.sorted_elements])
+    calls = []
+    profile = matrixalg._element_profile
+    monkeypatch.setattr(matrixalg, "_element_profile", lambda z, a: calls.append(z) or profile(z, a))
+    assert ring_is_isomorphic(diag, conj) and ring_is_isomorphic(diag, conj)
+    # conj's elements once, and diag's generators once per test.
+    gens = len(diag.ring_generators)
+    assert calls.count(conj) == conj.size and calls.count(diag) == 2 * gens
+    assert conj.element_profiles == tuple(profile(conj, b) for b in conj.sorted_elements)
+
+
 def test_ring_fingerprint_fields():
     ring = MatRing(Fq(2), 2)
     f4 = _f4_subalgebra(ring)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from branchgf import fields, orbits
+from branchgf import fields, orbits, zsets
 from branchgf.cli import parse_group_name
 from branchgf.configs import _gl_action_tables
 from branchgf.matrixalg import Subalgebra, _matrix_ring, unit_conjugation_tables
@@ -37,6 +37,11 @@ def test_orbits_imports_only_errors_from_the_package():
 
 def test_fields_imports_nothing_from_the_package():
     assert _package_imports(fields) == set()
+
+
+def test_zsets_closed_form_imports_nothing_from_the_package():
+    # The Z^n-set count checks the group tree, so it shares none of its code.
+    assert _package_imports(zsets) == set()
 
 
 def _c4_to_klein_step(pair, gen):
