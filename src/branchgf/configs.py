@@ -243,17 +243,28 @@ def _vector_list(q: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _gl_action_tables(q: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """For each invertible m x m matrix, its permutation of vector indices:
-    span_values of its columns lists the images of _vector_list in order."""
+    """For each invertible m x m matrix, in itertools.product order of its
+    row-major entries, its permutation of vector indices: span_values of its
+    columns lists the images of _vector_list in order.  The matrices are
+    walked row by row, each row outside the span of the rows above it, so
+    no singular matrix is formed."""
     field = _field(q)
-    index = {v: i for i, v in enumerate(_vector_list(q, m))}
-    tables = []
-    for mat in itertools.product(range(q), repeat=m * m):
-        columns = [mat[j :: m] for j in range(m)]
-        images = tuple(map(index.__getitem__, span_values(field, columns, m)))
-        if len(set(images)) == len(index):
-            tables.append(images)
-    return tuple(tables)
+    vectors = _vector_list(q, m)
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def invertible(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if len(rows) == m:
+            yield rows
+            return
+        span = set(span_values(field, rows, m))
+        for v in vectors:
+            if v not in span:
+                yield from invertible(rows + (v,))
+
+    return tuple(
+        tuple(map(index.__getitem__, span_values(field, list(zip(*rows)), m)))
+        for rows in invertible(())
+    )
 
 
 def _vector_rep_levels(
@@ -288,15 +299,18 @@ def _span_set(field: Fq, gens, width: int) -> frozenset[tuple[int, ...]]:
     return frozenset(span_values(field, echelon_basis(field, gens), width))
 
 
-def all_subspaces(q: int, n: int) -> set[frozenset[tuple[int, ...]]]:
-    """Every subspace of F_q^n, each as the frozenset of its vectors."""
+@lru_cache(maxsize=None)
+def all_subspaces(q: int, n: int) -> frozenset[frozenset[tuple[int, ...]]]:
+    """Every subspace of F_q^n, each as the frozenset of its vectors, as the
+    spans of all sets of at most n vectors.  Cached, so the row-space checks
+    of one run list the subspaces of each F_q^n once."""
     field = _field(q)
     vectors = _vector_list(q, n)
-    spaces: set[frozenset[tuple[int, ...]]] = set()
-    for dim in range(n + 1):
-        for gens in itertools.combinations(vectors, dim):
-            spaces.add(_span_set(field, gens, n))
-    return spaces
+    return frozenset(
+        _span_set(field, gens, n)
+        for dim in range(n + 1)
+        for gens in itertools.combinations(vectors, dim)
+    )
 
 
 def _subspace_dim(space: frozenset, q: int) -> int:

@@ -47,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cache, cached_property, partial, reduce
+from operator import itemgetter
 from typing import Sequence
 
 from .engine import BranchingProcess, IsoKey, IsoRegistry, build_branching
@@ -357,15 +358,22 @@ def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
 def unit_conjugation_tables(z: Subalgebra) -> tuple[tuple[int, ...], ...]:
     """Per unit u of z, the index permutation x -> u x u^-1 of
     z.sorted_elements, composed from the generator tables:
-    table_ug = table_u o table_g."""
+    table_ug = table_u o table_g, which is itemgetter(*table_g)(table_u),
+    one getter built per generator.  An itemgetter of one index returns a
+    scalar, so a one-entry table, which only a one-element z has, composes
+    by tuple instead."""
     ring = z.ring
 
     def compose(pair, gen):
-        (u, table_u), (g, table_g) = pair, gen
-        return ring.mul(u, g), tuple(map(table_u.__getitem__, table_g))
+        (u, table_u), (g, getter) = pair, gen
+        return ring.mul(u, g), getter(table_u)
 
+    getters = [
+        (g, itemgetter(*table) if len(table) > 1 else tuple)
+        for g, table in z.unit_generators
+    ]
     start = (ring.identity, tuple(range(z.size)))
-    tables = extend_map(start, z.unit_generators, compose)
+    tables = extend_map(start, getters, compose)
     if tables is None or len(tables) != len(z.units):
         raise ArithmeticError("the unit generators do not generate the unit group")
     return tuple(tables[u] for u in z.units)

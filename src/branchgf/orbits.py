@@ -53,6 +53,8 @@ def canonical_form(tables: Sequence[Sequence[int]]) -> Callable[[Rep], Rep]:
     prefix met is memoised with that image, those tables, and low, the least
     image of every point under them; a prefix's entry comes from its
     parent's.  The canonical form of prefix + (b,) is image + (low[b],).
+    When every attaining table of the parent sends b to low[b] (then all of
+    them fix b), the tables and low are the parent's, reused, not recomputed.
     """
     identity = range(len(tables[0]))
     entries: dict[Rep, tuple[Rep, list[Sequence[int]], list[int]]] = {}
@@ -64,10 +66,13 @@ def canonical_form(tables: Sequence[Sequence[int]]) -> Callable[[Rep], Rep]:
                 image, attaining, low = entry(prefix[:-1])
                 b = prefix[-1]
                 image = image + (low[b],)
-                attaining = [table for table in attaining if table[b] == low[b]]
+                kept = [table for table in attaining if table[b] == low[b]]
+                if len(kept) < len(attaining):
+                    attaining, low = kept, list(map(min, zip(*kept)))
             else:
-                image, attaining = (), [identity, *tables]
-            found = entries[prefix] = (image, attaining, list(map(min, zip(*attaining))))
+                attaining = [identity, *tables]
+                image, low = (), list(map(min, zip(*attaining)))
+            found = entries[prefix] = (image, attaining, low)
         return found
 
     def canonical(candidate: Rep) -> Rep:

@@ -494,6 +494,18 @@ def _lcm(polys: Iterable[Poly]) -> Poly:
 
 
 def _divides(d: Poly, p: Poly) -> bool:
+    """Whether p = d * e for an integer polynomial e.  A constant d, a p of
+    lower degree, and leading or (when d(0) != 0) constant coefficients that
+    d's do not divide are answered without dividing; a zero d raises."""
+    dc, pc = d.coeffs, p.coeffs
+    if not dc:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if len(dc) == 1:
+        return all(c % dc[0] == 0 for c in pc)
+    if not pc:
+        return True
+    if len(pc) < len(dc) or pc[-1] % dc[-1] or (dc[0] and pc[0] % dc[0]):
+        return False
     try:
         p.divexact(d)
     except ValueError:

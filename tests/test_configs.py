@@ -368,7 +368,8 @@ def _looped_subspaces(q, n):
 
 def test_all_subspaces_matches_coefficient_loop():
     for q, n in [(2, 3), (3, 2)]:
-        assert all_subspaces(q, n) == _looped_subspaces(q, n)
+        spaces = all_subspaces(q, n)
+        assert isinstance(spaces, frozenset) and spaces == _looped_subspaces(q, n)
 
 
 def test_all_subspaces_counts():
@@ -381,6 +382,22 @@ def test_all_subspaces_counts():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_row_space_bijection(m, n):
     assert row_space_bijection_check(2, m, n)
+
+
+@pytest.mark.parametrize(
+    "alter", [lambda reps: reps[1:], lambda reps: reps + reps[-1:]], ids=["dropped", "repeated"]
+)
+def test_row_space_check_fails_on_altered_representatives(monkeypatch, alter):
+    # One orbit representative missing leaves a subspace unmatched; one
+    # listed twice meets its row space twice.
+    levels = configs._vector_rep_levels
+
+    def altered(*args):
+        *earlier, reps = levels(*args)
+        return [*earlier, alter(reps)]
+
+    monkeypatch.setattr(configs, "_vector_rep_levels", altered)
+    assert row_space_bijection_check(2, 2, 2) is False
 
 
 def test_row_space_example_dims():

@@ -875,14 +875,25 @@ def _direct_conjugation_tables(ring):
     )
 
 
-@pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2)])
 def test_unit_conjugation_tables_match_direct_construction(q, m):
     # The m = 1 rings have central units only; M_1(F_2) has no unit
     # generator at all, so the identity table alone covers its 2 elements.
+    # M_2(F_4) has 180 units over 256 elements of a non-prime field; its
+    # tables fix the composition order table_u o table_g.
     ring = MatRing(Fq(q), m)
     tables = unit_conjugation_tables(Subalgebra.full(ring))
     assert set(tables) == set(_direct_conjugation_tables(ring))
     assert tables == _direct_conjugation_tables(ring)
+
+
+def test_unit_conjugation_tables_of_a_one_element_ring():
+    # M_0(F_2) = {()} has no unit generator; given its identity as one, the
+    # one-entry table still composes to a tuple, not to a scalar.
+    z = Subalgebra.full(MatRing(Fq(2), 0))
+    assert unit_conjugation_tables(z) == ((0,),)
+    z.unit_generators = ((z.ring.identity, (0,)),)
+    assert unit_conjugation_tables(z) == ((0,),)
 
 
 def test_unit_conjugation_tables_need_generators_of_the_unit_group(monkeypatch):
