@@ -20,11 +20,12 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from typing import Callable, Sequence
 
-from . import commuting, configs, engine, fixtures, matrixalg
-from .engine import build_branching, gf_total, product_process, render_dot
+from . import commuting, configs, engine, fixtures, matrixalg, wreaths
+from .engine import BranchingMatrix, build_branching, gf_total, product_process, render_dot
 from .errors import (
     NonIntegerCoefficientError,
     NonUnitConstantTermError,
@@ -87,36 +88,59 @@ def _prime_power(text: str) -> int:
     return q
 
 
-def parse_group_factors(name: str) -> list[PermGroup]:
-    """Parse names like S4, C6, D4, C2wrS2, and x-joined products (C2xS3),
-    one group per factor."""
-    groups = []
+_GROUP_FORMS = "S<m>, C<k>, D<n>, C<k>wrS<m> (k, m, n >= 1), or products of these joined by 'x'"
+_GROUP_FACTOR = re.compile(r"([SCD])([0-9]+)|C([0-9]+)wrS([0-9]+)")
+
+
+def _name_parts(name: str) -> list[tuple[str, tuple[int, ...]]]:
+    """Each x-joined factor of a group name as its form and numbers: ("S", (m,)),
+    ("C", (k,)), ("D", (n,)) or ("CwrS", (k, m))."""
+    parts = []
     for part in name.split("x"):
-        part = part.strip()
-        if part == "C2wrS2":
-            groups.append(wreath_c2_s2())
-            continue
-        if len(part) < 2 or part[0] not in "SCD" or not part[1:].isdigit():
-            raise UsageError(
-                f"cannot parse group name {part!r}; use S<m>, C<k>, D<n>, "
-                "C2wrS2, or products joined by 'x'"
-            )
-        k = int(part[1:])
+        match = _GROUP_FACTOR.fullmatch(part.strip())
         try:
-            if part[0] == "S":
-                groups.append(symmetric_group(k))
-            elif part[0] == "C":
-                groups.append(cyclic_group(k))
-            else:
-                groups.append(dihedral_group(k))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    return groups
+            numbers = () if match is None else tuple(int(g) for g in match.groups()[1:] if g)
+        except ValueError:  # more digits than Python converts to an integer
+            match = None
+        if match is None or 0 in numbers:
+            raise UsageError(f"cannot parse group name {part!r}; use {_GROUP_FORMS}")
+        parts.append((match[1] or "CwrS", numbers))
+    return parts
+
+
+def parse_group_factors(name: str) -> list[PermGroup | wreaths.ZSetGroup]:
+    """The factors of a group name as the group command reads them.
+
+    S<m>, C<k> and C<k>wrS<m> are Z-set groups (branchgf.wreaths), which
+    list nothing; D<n> is a listed PermGroup.
+    """
+    z_groups = {"S": wreaths.symmetric, "C": wreaths.cyclic, "CwrS": wreaths.cyclic_wreath}
+    return [z_groups[form](*numbers) if form in z_groups else dihedral_group(*numbers)
+            for form, numbers in _name_parts(name)]
+
+
+def factor_trees(factors: Sequence[PermGroup | wreaths.ZSetGroup]) -> list[BranchingMatrix]:
+    """Each factor's commuting tree: a Z-set group's from its labels, keyed by
+    one LabelTable, and a listed group's by commuting_process, keyed by one
+    KeyRegistry, so that equal keys name equal factors across a product."""
+    registry, table = KeyRegistry(), wreaths.LabelTable()
+    return [
+        build_branching(factor.process(table) if isinstance(factor, wreaths.ZSetGroup)
+                        else commuting.commuting_process(factor, registry))
+        for factor in factors
+    ]
 
 
 def parse_group_name(name: str) -> PermGroup:
-    """The named group itself, a product listed element by element."""
-    return functools.reduce(direct_product, parse_group_factors(name))
+    """The named group itself, a product listed element by element; of the
+    wreath products only C2wrS2 is listed."""
+    listed = {"S": symmetric_group, "C": cyclic_group, "D": dihedral_group}
+    groups = []
+    for form, numbers in _name_parts(name):
+        if form == "CwrS" and numbers != (2, 2):
+            raise UsageError(f"C{numbers[0]}wrS{numbers[1]} has no element list; only C2wrS2 has")
+        groups.append(wreath_c2_s2() if form == "CwrS" else listed[form](*numbers))
+    return functools.reduce(direct_product, groups)
 
 
 def _coeff_list(text: str) -> Poly:
@@ -180,8 +204,7 @@ def cmd_group(args, out) -> int:
         fn = commuting.burnside_gf(*factors)
         emit_ratfun(f"f[{args.name}]", fn, args.terms, args.format, out)
         return EXIT_OK
-    registry = KeyRegistry()
-    trees = [build_branching(commuting.commuting_process(g, registry)) for g in factors]
+    trees = factor_trees(factors)
     bm = trees[0] if len(trees) == 1 else build_branching(product_process(*trees))
     emit_ratfun(f"h[{args.name}]", gf_total(bm), args.terms, args.format, out)
     if args.show_matrix:
@@ -263,9 +286,9 @@ def _check(out, failures: list[str], label: str, ok: bool, failure: Callable[[],
 def _verify_paper_tables(out) -> list[str]:
     failures = []
     for m in range(1, 6):
-        # The group sum runs over an element-listed S_m, whose classes come
-        # from conjugation orbits, not from the cycle types the other sum reads.
-        group = PermGroup(m, symmetric_group(m).elements)
+        # The group sum runs over the listed S_m's conjugation orbits, the
+        # other sum over the cycle types.
+        group = symmetric_group(m)
         expected = fixtures.fixture_ratfun(fixtures.TUPLE_ORBIT_GF[m])
         via_elements = commuting.burnside_gf(group)
         via_partitions = commuting.symmetric_burnside_gf(m)
@@ -275,7 +298,7 @@ def _verify_paper_tables(out) -> list[str]:
                        f"group sum {via_elements}, cycle-type sum {via_partitions}")
     for m in range(1, 6):
         expected = fixtures.fixture_ratfun(fixtures.COMMUTING_ORBIT_GF[m])
-        got = commuting.commuting_gf(symmetric_group(m))
+        got = gf_total(factor_trees(parse_group_factors(f"S{m}"))[0])
         _check(out, failures, f"commuting-orbit gf S{m}", got == expected,
                lambda: f"S{m} commuting-orbit: expected {expected}, got {got}")
     return failures
@@ -367,16 +390,20 @@ def build_parser() -> argparse.ArgumentParser:
         "group", parents=[common],
         help="orbit generating functions of a finite group",
         description=(
-            "Orbit generating functions of a finite group: S<m> (m <= 9; it lists no "
-            "elements of S_m, and S9 takes about 2.3 s on a 2-vCPU machine), C<k> and "
-            "D<n> (dihedral, order 2n) up to order 512, C2wrS2, and x-joined direct "
-            "products such as C2xS3. A product lists no elements; its classes are "
+            "Orbit generating functions of a finite group: S<m>, C<k> and C<k>wrS<m>, "
+            "whose trees come from Z^n-set labels and list no group, D<n> (dihedral, "
+            "order 2n) up to order 512, and x-joined direct products such as C2xS3. "
+            f"A name whose trees need more than {wreaths.LABEL_LIMIT} labels exits 3 "
+            "(on a 2-vCPU machine, S12 takes 0.14 s, S20 and C2wrS13 3.5 s, and S21 "
+            "exits 3). A product lists no elements; its classes are "
             "tuples of its factors' classes, and it runs when the product of its "
-            f"factors' tree class counts is at most {engine.STATE_LIMIT} (on a 2-vCPU "
-            "machine, S6xS6 takes 0.3 s and S6xS6xS6xS6 3 s); larger products exit 3."
+            f"factors' tree class counts is at most {engine.STATE_LIMIT} (S6xS6 takes "
+            "0.3 s and S6xS6xS6xS6 1.6 s); larger products exit 3. --kind burnside "
+            "sums one term per distinct centralizer order, and printing the sum "
+            "slows past about 150 terms (S16 takes 2.3 s, S18 16 s)."
         ),
     )
-    p_group.add_argument("--name", required=True, help="e.g. S4, C6, D4, C2xS3, C2wrS2")
+    p_group.add_argument("--name", required=True, help="e.g. S4, C6, D4, C2xS3, C3wrS2")
     p_group.add_argument("--kind", choices=("commuting", "burnside"), default="commuting")
     p_group.add_argument("--show-matrix", action="store_true",
                          help="print the discovered branching matrix")

@@ -5,8 +5,12 @@ nodes of a rooted tree; a node's children are the conjugacy classes of the
 running centralizer, so keying each node by the isomorphism class of that
 centralizer yields a self-similar keying; commuting_process builds it
 with engine.centralizer_tower, as branchgf.matrixalg does for rings.
+This is the general path, for any listed group (D_n in the command
+line); S_m, C_k and C_k wr S_m need no listed group at all, as their
+trees come from Z^n-set labels (branchgf.wreaths), and the tier-1 tests
+hold the two paths to the same gfs.
 A direct product needs no tree of its own: with its factors keyed by one
-KeyRegistry, engine.product_process combines the factors' trees, and
+registry, engine.product_process combines the factors' trees, and
 burnside_gf combines their classes, so neither lists a product element.
 Orbit counts of all (not necessarily commuting) tuples have a classical
 closed form as a centralizer-size partial-fraction sum, implemented here
@@ -19,11 +23,15 @@ enumeration (branchgf.orbits).
 from __future__ import annotations
 
 from collections import Counter
+from typing import TYPE_CHECKING
 
 from .engine import BranchingProcess, build_branching, centralizer_tower, gf_total
 from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
 from .perms import KeyRegistry, PermGroup, partitions, zlambda
 from .polyring import Poly, RatFun, ratfun_sum
+
+if TYPE_CHECKING:
+    from .wreaths import ZSetGroup
 
 __all__ = [
     "commuting_process",
@@ -61,18 +69,19 @@ def commuting_gf(group: PermGroup) -> RatFun:
     return gf_total(build_branching(commuting_process(group)))
 
 
-def burnside_gf(*groups: PermGroup) -> RatFun:
+def burnside_gf(*groups: PermGroup | ZSetGroup) -> RatFun:
     """Generating function of orbit counts on all n-tuples of the groups' direct product.
 
     Orbit counting gives sum over g of |Z(g)|^n / |G|, i.e. the sum of
     size/|G| * 1/(1 - |Z|t) = 1/(|Z| (1 - |Z|t)) over conjugacy classes.  A
     class of a product is a tuple of factor classes whose |Z| is the product
     of theirs, so classes are tallied by |Z| and no product element is listed.
+    Each group, a PermGroup or a wreaths.ZSetGroup, gives its classes as
+    centralizer_orders.
     """
     tally = Counter({1: 1})
     for group in groups:
-        orders = Counter(group.order // cls.size for cls in group.conjugacy_classes)
-        step = Counter()
+        orders, step = group.centralizer_orders, Counter()
         for z, count in tally.items():
             for w, n in orders.items():
                 step[z * w] += count * n

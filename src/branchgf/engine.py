@@ -82,10 +82,11 @@ class BranchingProcess:
 
 
 class IsoKey(NamedTuple):
-    """Hashable name for an isomorphism class, stable within one registry.
+    """Hashable name for an isomorphism class, stable within one registry,
+    or for a Z^n-set label (branchgf.wreaths.LabelTable).
 
     str gives the label prefix, the structure's size and the first-seen
-    tag, as in g120.0.
+    tag, as in g120.0 or z720.0.
     """
 
     prefix: str

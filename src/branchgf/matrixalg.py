@@ -645,7 +645,7 @@ def module_orbit_counts(
     """
     _check_sizes(q, m, oracle=True)
     full = Subalgebra.full(_matrix_ring(q, m))
-    commutant = cache(lambda i: _commutant(full.ring, full.sorted_elements[i]))
+    commutant = cache(lambda i: _commutant(full, full.sorted_elements[i]))
 
     def commuting(rep: tuple[int, ...]) -> list[int]:
         return sorted(set(range(full.size)).intersection(*map(commutant, rep)))
@@ -655,10 +655,12 @@ def module_orbit_counts(
     return [len(reps) for reps in levels]
 
 
-def _commutant(ring: MatRing, a: Mat) -> frozenset[int]:
-    """Indices of the elements c of ring with ca = ac: c -> ca - ac is linear,
-    so span_values of its values at the matrix units gives its value at each c."""
+def _commutant(full: Subalgebra, a: Mat) -> frozenset[int]:
+    """Indices in full.sorted_elements of the c with ca = ac: the span of the
+    null space of the linear map c -> ca - ac on the matrix units."""
+    ring = full.ring
     images = [_commutator(ring, e, a) for e in ring.standard_basis]
-    values = span_values(ring.field, images, len(a))
-    return frozenset(i for i, v in enumerate(values) if not any(v))
+    basis = _null_space(ring.field, images, ring.standard_basis)
+    index = full.element_index
+    return frozenset(index[c] for c in span_values(ring.field, basis, len(a)))
 

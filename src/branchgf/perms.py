@@ -2,11 +2,10 @@
 
 Groups are stored as full element lists (every listed group has order at
 most a few thousand, where filtering beats stabilizer-chain machinery) and
-are immutable once built.  The exception is S_m itself (SymmetricGroup, up
-to S9 with 362,880 elements): its order, classes and class centralizers
-come from the partitions of m, so it lists its elements only when a caller
-asks for them.  Products of permutations already known to be valid skip
-the validation that the public Perm constructor runs.
+are immutable once built; the command's trees of S_m, C_k and C_k wr S_m
+list no group at all (branchgf.wreaths).  Products of permutations
+already known to be valid skip the validation that the public Perm
+constructor runs.
 Generating sets, conjugation orbits, map extension and the image search
 come from branchgf.orbits, shared with the ring code.  Isomorphism testing
 screens by the order and then by cheap invariants (the derived subgroup
@@ -18,8 +17,7 @@ hashable key with a stable per-run tag.  The registry answers a group
 whose element set it keyed before without any test, and keys the first
 group of an order without computing its invariants; only a new element
 set whose order and invariants match a known group reaches the order
-limit of is_isomorphic, so the trees of S6 to S9 run although those
-groups are above that limit.
+limit of is_isomorphic.
 """
 
 from __future__ import annotations
@@ -28,8 +26,9 @@ import itertools
 import math
 import operator
 import re
+from collections import Counter
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .engine import IsoKey, IsoRegistry
 from .errors import ElementNotInGroupError, OrderLimitError
@@ -38,7 +37,6 @@ from .orbits import closure, extend_map, greedy_generators, orbit_partition, sea
 __all__ = [
     "Perm",
     "PermGroup",
-    "SymmetricGroup",
     "ConjClass",
     "KeyRegistry",
     "parse_cycles",
@@ -238,17 +236,6 @@ class PermGroup:
     def _element_set(self) -> frozenset[Perm]:
         return frozenset(self.elements)
 
-    @cached_property
-    def same_set(self) -> Hashable:
-        """Equal exactly for groups with one element set in one degree.
-
-        A group of degree d with d! elements is S_d, named without its
-        elements.
-        """
-        if self.order == math.factorial(self.degree):
-            return (self.degree, None)
-        return (self.degree, self._element_set)
-
     def __contains__(self, perm: Perm) -> bool:
         return perm in self._element_set
 
@@ -311,6 +298,11 @@ class PermGroup:
         return {
             y: len(orbit) for orbit in self._conjugation_orbits for y in orbit
         }
+
+    @cached_property
+    def centralizer_orders(self) -> Counter:
+        """|C(x)| -> number of conjugacy classes with that centralizer order."""
+        return Counter(self.order // cls.size for cls in self.conjugacy_classes)
 
     @cached_property
     def derived_subgroup_order(self) -> int:
@@ -394,83 +386,6 @@ def zlambda(partition: tuple[int, ...]) -> int:
     return out
 
 
-def _cycles_perm(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
-    """The permutation with the given disjoint cycles (points 0-based)."""
-    images = list(range(degree))
-    for cycle in cycles:
-        for a, b in zip(cycle, (*cycle[1:], cycle[0])):
-            images[a] = b
-    return Perm._trusted(tuple(images))
-
-
-class SymmetricGroup(PermGroup):
-    """S_m on {0, ..., m-1}, known by its cycle types.
-
-    Its classes are the partitions of m, and the centralizer of a single
-    permutation is generated by its cycles and the swaps of consecutive
-    cycles of one length, prod_k C_k wr S_(m_k).  So neither the classes
-    nor the centralizers list S_m; its m! elements are built, by one
-    closure, only when a caller reads them (an oracle's conjugation
-    tables, say).
-    """
-
-    def __init__(self, m: int):
-        self.degree = m
-
-    @cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        m = self.degree
-        gens = [_cycles_perm(m, [(0, 1)]), _cycles_perm(m, [range(m)])] if m > 1 else []
-        return tuple(sorted(closure(self.identity, gens, operator.mul, math.factorial(m))))
-
-    @property
-    def order(self) -> int:
-        return math.factorial(self.degree)
-
-    def __contains__(self, perm: Perm) -> bool:
-        return perm.degree == self.degree
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        return self.degree <= 2
-
-    @cached_property
-    def conjugacy_classes(self) -> tuple[ConjClass, ...]:
-        """One class per partition, represented by its least member: fixed
-        points first, then cycles on consecutive points in ascending length.
-        Sorted by representative, the order orbit discovery over the sorted
-        element list gives."""
-        classes = []
-        for lam in partitions(self.degree):
-            cycles, start = [], 0
-            for part in reversed(lam):
-                cycles.append(range(start, start + part))
-                start += part
-            classes.append(ConjClass(_cycles_perm(self.degree, cycles), self.order // zlambda(lam)))
-        return tuple(sorted(classes))
-
-    def centralizer(self, xs: Sequence[Perm]) -> PermGroup:
-        """As PermGroup.centralizer; a single permutation's centralizer is one
-        closure of its cycles and the swaps of consecutive equal-length
-        cycles (fixed points are cycles of length 1), bounded by its order
-        z_lambda, and the identity's is the group itself."""
-        if len(xs) != 1:
-            return super().centralizer(xs)
-        (x,) = xs
-        if x not in self:
-            raise ElementNotInGroupError(f"{x} is not in the group")
-        if x.is_identity():
-            return self
-        cycles = x.cycles()
-        by_length: dict[int, list[tuple[int, ...]]] = {}
-        for cycle in [(p,) for p, image in enumerate(x.images) if p == image] + cycles:
-            by_length.setdefault(len(cycle), []).append(cycle)
-        gens = [_cycles_perm(self.degree, [c]) for c in cycles]
-        for same in by_length.values():
-            gens += [_cycles_perm(self.degree, zip(c, d)) for c, d in zip(same, same[1:])]
-        return PermGroup.from_generators(self.degree, gens, order_limit=zlambda(x.cycle_type()))
-
-
 # -- isomorphism ------------------------------------------------------------
 
 
@@ -522,17 +437,21 @@ class KeyRegistry(IsoRegistry):
 
     def key_for(self, group: PermGroup) -> IsoKey:
         """Key of group; a group with an element set seen before skips all tests."""
-        return self.lookup(group, group.same_set, group.order, is_isomorphic, "g")
+        return self.lookup(group, (group.degree, group._element_set), group.order,
+                           is_isomorphic, "g")
 
 
 # -- named constructors -------------------------------------------------------
 
 
-def symmetric_group(m: int) -> SymmetricGroup:
-    """S_m in its natural action (m <= 9 is the supported range)."""
-    if not 1 <= m <= 9:
-        raise ValueError("symmetric_group supports 1 <= m <= 9")
-    return SymmetricGroup(m)
+def symmetric_group(m: int) -> PermGroup:
+    """S_m in its natural action, listed (m <= 8 is the supported range)."""
+    if not 1 <= m <= 8:
+        raise ValueError("symmetric_group supports 1 <= m <= 8")
+    if m == 1:
+        return PermGroup.trivial(1)
+    gens = [Perm([1, 0] + list(range(2, m))), Perm(list(range(1, m)) + [0])]
+    return PermGroup.from_generators(m, gens, order_limit=math.factorial(m))
 
 
 def cyclic_group(k: int) -> PermGroup:

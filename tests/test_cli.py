@@ -94,15 +94,15 @@ def test_product_labels_join_factor_keys():
     status, text = run_cli(["group", "--name", "C2xS3", "--show-matrix", "--format", "records"])
     assert status == EXIT_OK
     record = json.loads(text.splitlines()[1])
-    assert record["labels"] == ["g2.0xg6.1", "g2.0xg2.0", "g2.0xg3.2"]
+    assert record["labels"] == ["z2.0xz6.1", "z2.0xz2.0", "z2.0xz3.2"]
     status, dot = run_cli(["group", "--name", "C2xS3", "--dot"])
-    assert 'c0 [label="g2.0xg6.1" shape="doublecircle"];' in dot
+    assert 'c0 [label="z2.0xz6.1" shape="doublecircle"];' in dot
     assert "(" not in "".join(line for line in dot.splitlines() if "label" in line)
 
 
 CLASS_ORDER = {
     "S6": (
-        ["g720.0", "g48.1", "g18.2", "g16.3", "g8.4", "g6.5", "g5.6", "g8.7", "g9.8"],
+        ["z720.0", "z48.1", "z18.2", "z16.3", "z8.4", "z6.5", "z5.6", "z8.7", "z9.8"],
         [
             [1, 0, 0, 0, 0, 0, 0, 0, 0],
             [2, 2, 0, 0, 0, 0, 0, 0, 0],
@@ -116,8 +116,8 @@ CLASS_ORDER = {
         ],
     ),
     "C2wrS2xS4": (
-        ["g8.0xg24.3", "g4.1xg24.3", "g4.1xg4.1", "g3.4xg4.1", "g4.1xg8.0", "g4.1xg4.2",
-         "g3.4xg8.0", "g8.0xg8.0", "g4.2xg8.0", "g4.2xg24.3", "g3.4xg4.2", "g4.2xg4.2"],
+        ["z8.0xz24.3", "z4.1xz24.3", "z4.1xz4.1", "z3.4xz4.1", "z4.1xz8.0", "z4.1xz4.2",
+         "z3.4xz8.0", "z8.0xz8.0", "z4.2xz8.0", "z4.2xz24.3", "z3.4xz4.2", "z4.2xz4.2"],
         [
             [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             [2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -167,6 +167,37 @@ def test_product_lists_no_elements(name, order, monkeypatch):
         assert run_cli(["group", "--name", name, "--kind", kind])[0] == EXIT_OK
 
 
+def _refuse_perms(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(perms.Perm, "__init__", refused)
+    monkeypatch.setattr(perms.Perm, "_trusted", classmethod(refused))
+
+
+@pytest.mark.parametrize("name", ["S12", "C2wrS8", "C600", "S12xC2"])
+def test_z_set_names_list_no_permutation(name, monkeypatch):
+    _refuse_perms(monkeypatch)
+    for kind in ("commuting", "burnside"):
+        assert run_cli(["group", "--name", name, "--kind", kind])[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("name", ["C0wrS2", "C2wrS0", "CwrS2", "C2wrS2wrS2", "S0", "Q8"])
+def test_malformed_group_names_list_the_accepted_forms(name, capsys):
+    assert run_cli(["group", "--name", name]) == (EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert f"cannot parse group name {name!r}; use S<m>, C<k>, D<n>, C<k>wrS<m>" in err
+
+
+@pytest.mark.parametrize("name,limit", [("S21", "labels"), ("C2wrS14", "labels"),
+                                        ("S40", "centralizer labels")])
+def test_over_large_names_say_how_far_they_got(name, limit, capsys):
+    assert run_cli(["group", "--name", name]) == (EXIT_LIMIT, "")
+    err = capsys.readouterr().err
+    assert f"more than 2000 {limit}, the label limit" in err
+    assert "Traceback" not in err
+
+
 def _recorded_symmetric_groups(monkeypatch) -> list:
     built = []
 
@@ -189,12 +220,13 @@ def test_s7_series_is_the_closed_form():
 
 
 def test_s9_tree_lists_no_root_element(monkeypatch):
+    # S_m's tree comes from Z^n-set labels: no S_m and no permutation at all.
     built = _recorded_symmetric_groups(monkeypatch)
+    _refuse_perms(monkeypatch)
     status, text = run_cli(["group", "--name", "S9", "--terms", "6", "--format", "records"])
     assert status == EXIT_OK
     assert _series(text) == symmetric_commuting_counts(9, 6)
-    (root,) = built
-    assert "elements" not in vars(root)
+    assert built == []
 
 
 @pytest.mark.parametrize("name", ["S9", "S9xC2"])
@@ -202,10 +234,11 @@ def test_burnside_on_s9_reads_class_sizes(name, monkeypatch):
     # f_n = (1/|G|) sum over g of |Z(g)|^n = sum over classes of |Z|^(n-1),
     # with |Z| = z_lambda on S9, times 2 for each of C2's two classes.
     built = _recorded_symmetric_groups(monkeypatch)
+    _refuse_perms(monkeypatch)
     status, text = run_cli(["group", "--name", name, "--kind", "burnside", "--terms", "5",
                             "--format", "records"])
     assert status == EXIT_OK
-    assert built and all("elements" not in vars(group) for group in built)
+    assert built == []
     factor, copies = (2, 2) if name == "S9xC2" else (1, 1)
     zs = [factor * perms.zlambda(lam) for lam in perms.partitions(9)]
     assert _series(text) == [1] + [copies * sum(z ** (n - 1) for z in zs) for n in range(1, 6)]
@@ -462,7 +495,11 @@ EXIT_CODE_CASES = [
     (["configs", "--kind", "vector", "--q", "6", "--m", "2"], EXIT_USAGE),
     (["group", "--name", "S3", "--terms", "-1"], EXIT_USAGE),
     (["group", "--name", "S7"], EXIT_OK),
-    (["group", "--name", "S10"], EXIT_USAGE),
+    (["group", "--name", "S10"], EXIT_OK),
+    (["group", "--name", "S1000"], EXIT_LIMIT),
+    (["group", "--name", "S30", "--kind", "burnside"], EXIT_LIMIT),
+    (["group", "--name", "C600"], EXIT_OK),
+    (["group", "--name", "C3wrS3xC2"], EXIT_OK),
     (["verify", "--suite", "oracles", "--budget", "-1"], EXIT_USAGE),
     (["matrix-alg", "--q", "4", "--m", "2"], EXIT_OK),
     (["matrix-alg", "--q", "4", "--m", "2", "--stretch", "--terms", "3"], EXIT_OK),

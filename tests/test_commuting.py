@@ -16,7 +16,7 @@ from branchgf.commuting import (
     symmetric_burnside_gf,
     zlambda,
 )
-from branchgf.cli import parse_group_factors, parse_group_name
+from branchgf.cli import factor_trees, parse_group_factors, parse_group_name
 from branchgf.engine import (
     bfs_level_counts,
     build_branching,
@@ -188,19 +188,29 @@ def test_product_rule_for_a_group_of_order_128():
 
 
 def product_tree(name):
-    """The process of an x-joined name from its factors' trees, one registry."""
-    registry = KeyRegistry()
-    factors = parse_group_factors(name)
-    return product_process(
-        *(build_branching(commuting_process(g, registry)) for g in factors)
-    )
+    """The process of an x-joined name from its factors' trees, as the group
+    command builds them (Z-set labels for S, C and CwrS, one registry)."""
+    return product_process(*factor_trees(parse_group_factors(name)))
 
 
-@pytest.mark.parametrize("name", ["D8xC2", "S5xC2", "C2wrS2xS4", "C2xC2xS3", "S3xS3xC2"])
+def listed_product_tree(name):
+    """The process of an x-joined name from every factor's listed tree, as
+    factor_trees builds a listed factor's: commuting_process, all factors
+    keyed by one KeyRegistry."""
+    return product_process(*factor_trees([parse_group_name(part) for part in name.split("x")]))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["D8xC2", "S5xC2", "C2wrS2xS4", "C2xC2xS3", "S3xS3xC2", "D4xD4", "D3xD6xD2", "C6xS3"],
+)
 def test_product_tree_matches_the_element_list_tree(name):
-    process = product_tree(name)
-    assert gf_total(build_branching(process)) == commuting_gf(parse_group_name(name))
-    assert verify_tree(process, 8)
+    # Both the command's factor trees and listed factor trees under one
+    # registry; a registry per factor would key listed C6 and S3 both g6.0.
+    expected = commuting_gf(parse_group_name(name))
+    for process in (product_tree(name), listed_product_tree(name)):
+        assert gf_total(build_branching(process)) == expected
+        assert verify_tree(process, 8)
 
 
 def test_s6xs6_series_is_the_square_of_s6():
@@ -212,6 +222,15 @@ def test_s6xs6_series_is_the_square_of_s6():
 @pytest.mark.parametrize("name", ["C2xS3", "D8xC2", "S5xC2", "C2wrS2xS4"])
 def test_product_burnside_from_class_tuples(name):
     assert burnside_gf(*parse_group_factors(name)) == burnside_gf(parse_group_name(name))
+
+
+def test_product_burnside_over_many_centralizer_orders():
+    # S8xS8xS4 has 244 distinct centralizer orders; the sum has no term
+    # bound.  Tuple orbits of a product are tuples of orbits, so f_n multiplies.
+    got = burnside_gf(*parse_group_factors("S8xS8xS4"))
+    assert len(got.den.coeffs) - 1 == 244
+    s8, s4 = symmetric_burnside_gf(8).series(4), symmetric_burnside_gf(4).series(4)
+    assert got.series(4) == [a * a * b for a, b in zip(s8, s4)]
 
 
 def test_oracle_budget():

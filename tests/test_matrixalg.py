@@ -940,10 +940,11 @@ def test_span_based_element_lists_and_classes_match_element_loops(q, m):
 @pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (4, 2), (2, 3)])
 def test_oracle_commutant_matches_element_filter(q, m):
     ring = MatRing(Fq(q), m)
-    elements = Subalgebra.full(ring).sorted_elements
+    full = Subalgebra.full(ring)
+    elements = full.sorted_elements
     for a in elements:
         commuting = {i for i, c in enumerate(elements) if ring.mul(c, a) == ring.mul(a, c)}
-        assert _commutant(ring, a) == commuting
+        assert _commutant(full, a) == commuting
 
 
 def test_module_mat_mul_count(monkeypatch):
