@@ -11,7 +11,8 @@ trees come from Z^n-set labels (branchgf.wreaths), and the tier-1 tests
 hold the two paths to the same gfs.
 A direct product needs no tree of its own: with its factors keyed by one
 registry, engine.product_process combines the factors' trees, and
-burnside_gf combines their classes, so neither lists a product element.
+burnside_gf combines their classes, both through engine.class_product,
+so neither lists a product element.
 Orbit counts of all (not necessarily commuting) tuples have a classical
 closed form as a centralizer-size partial-fraction sum, implemented here
 both over the group elements and, for symmetric groups, over partitions.
@@ -22,10 +23,10 @@ enumeration (branchgf.orbits).
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
 from typing import TYPE_CHECKING
 
-from .engine import BranchingProcess, build_branching, centralizer_tower, gf_total
+from .engine import BranchingProcess, build_branching, centralizer_tower, class_product, gf_total
 from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
 from .perms import KeyRegistry, PermGroup, partitions, zlambda
 from .polyring import Poly, RatFun, ratfun_sum
@@ -79,13 +80,7 @@ def burnside_gf(*groups: PermGroup | ZSetGroup) -> RatFun:
     Each group, a PermGroup or a wreaths.ZSetGroup, gives its classes as
     centralizer_orders.
     """
-    tally = Counter({1: 1})
-    for group in groups:
-        orders, step = group.centralizer_orders, Counter()
-        for z, count in tally.items():
-            for w, n in orders.items():
-                step[z * w] += count * n
-        tally = step
+    tally = class_product(1, (group.centralizer_orders.items() for group in groups), operator.mul)
     return ratfun_sum(RatFun(Poly([count]), Poly([z, -z * z])) for z, count in tally.items())
 
 

@@ -20,12 +20,15 @@ its isomorphism class, through one IsoRegistry: size buckets, first-seen
 tags and a fast path for an element set seen before.  Each structure
 supplies only its same-set key, size, isomorphism test and label prefix,
 so a key prints as g120.0 for a group or r16.0 for a ring.  Cheap
-invariants that screen a pair belong to the isomorphism test itself.
+invariants that screen a pair belong to the isomorphism test itself.  A
+structure that is its own same-set key, as a Z^n-set label is, needs no
+test, and its key (z720.0) is made at the first sight of it.
 
-The tree of a direct product is the product of its factors' trees, as
-the centralizer of (g, h) in G x H is C_G(g) x C_H(h): product_process
-builds it from the factors' branching matrices, so no element of the
-product is ever listed.
+The classes of a direct product are tuples of its factors' classes, and
+class_product is the one fold that lists them.  As the centralizer of
+(g, h) in G x H is C_G(g) x C_H(h), the tree of a product is the product
+of its factors' trees: product_process builds it from the factors'
+branching matrices, so no element of the product is ever listed.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import StateExplosionError
 from .polyring import Poly, RatFun, bareiss_det, poly_gcd, ratfun_sum, resolvent_column
@@ -44,6 +47,7 @@ __all__ = [
     "IsoKey",
     "IsoRegistry",
     "centralizer_tower",
+    "class_product",
     "product_process",
     "build_branching",
     "gf_total",
@@ -82,8 +86,7 @@ class BranchingProcess:
 
 
 class IsoKey(NamedTuple):
-    """Hashable name for an isomorphism class, stable within one registry,
-    or for a Z^n-set label (branchgf.wreaths.LabelTable).
+    """Hashable name for an isomorphism class, stable within one registry.
 
     str gives the label prefix, the structure's size and the first-seen
     tag, as in g120.0 or z720.0.
@@ -170,6 +173,19 @@ class BranchingMatrix:
         return tuple(self.matrix[i][j] for i in range(self.size))
 
 
+def class_product(start: Hashable, factors: Iterable, combine: Callable) -> Counter:
+    """The classes of a product as a Counter: start combined with one of each factor's
+    (class, count) pairs in turn by combine(partial, class), the counts multiplied."""
+    out = Counter({start: 1})
+    for pairs in factors:
+        step = Counter()
+        for part, mult in out.items():
+            for cls, n in pairs:
+                step[combine(part, cls)] += mult * n
+        out = step
+    return out
+
+
 def product_process(*trees: BranchingMatrix) -> BranchingProcess:
     """The tree of a direct product, from its factors' trees.
 
@@ -193,14 +209,8 @@ def product_process(*trees: BranchingMatrix) -> BranchingProcess:
             labels[key] = bm.labels[j]
 
     def children(node: tuple) -> Counter:
-        out = Counter({(): 1})
-        for key in node:
-            step = Counter()
-            for part, mult in out.items():
-                for child, n in columns[key]:
-                    step[tuple(sorted(part + (child,)))] += mult * n
-            out = step
-        return out
+        return class_product((), (columns[key] for key in node),
+                             lambda part, child: tuple(sorted(part + (child,))))
 
     return BranchingProcess(
         root=tuple(sorted(bm.keys[0] for bm in trees)),

@@ -467,6 +467,8 @@ def dihedral_group(n: int) -> PermGroup:
     """Symmetries of the regular n-gon (order 2n); n <= 2 degenerates naturally."""
     if n < 1:
         raise ValueError("n must be positive")
+    if 2 * n > CLOSURE_ORDER_LIMIT:  # refused before a permutation of degree n is built
+        raise OrderLimitError(f"group order exceeds the limit {CLOSURE_ORDER_LIMIT}")
     if n == 1:
         return cyclic_group(2)
     if n == 2:

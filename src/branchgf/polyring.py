@@ -340,8 +340,9 @@ def _integer_roots(r: Poly) -> list[int]:
     s = r.divexact(poly_gcd(r, _derivative(r)))
     ds = _derivative(s)
     for l in (n for n in count(2) if all(n % d for d in range(2, math.isqrt(n) + 1))):
-        roots = [x for x in range(l) if s(x) % l == 0]
-        if all(ds(x) % l for x in roots):
+        s_l, ds_l = ([c % l for c in reversed(f.coeffs)] for f in (s, ds))
+        roots = [x for x in range(l) if _value_mod(s_l, x, l) == 0]
+        if all(_value_mod(ds_l, x, l) for x in roots):
             break
     modulus = l
     while modulus <= 2 * abs(s.coeffs[0]):
@@ -349,6 +350,14 @@ def _integer_roots(r: Poly) -> list[int]:
         roots = [(x - s(x) * pow(ds(x), -1, modulus)) % modulus for x in roots]
     candidates = (x - modulus if 2 * x > modulus else x for x in roots)
     return sorted(k for k in candidates if s(k) == 0)
+
+
+def _value_mod(coeffs: list[int], x: int, l: int) -> int:
+    """coeffs (in [0, l), highest first) at x mod l, by Horner's rule below l^2."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % l
+    return acc
 
 
 def _derivative(p: Poly) -> Poly:

@@ -15,17 +15,18 @@ are read off the label:
   with sum l k = j (I. G. Macdonald, "Symmetric Functions and Hall
   Polynomials", ch. I, appendix B).  The centralizer of such a class is
   prod B wr S_(k_(l,a)) with B = (A x Z)/<(-a, l)>, of order l|A|.
-- A state's classes are tuples of its factors' classes, folded one factor
-  at a time as engine.product_process folds a product's factors.
+- A state's classes are tuples of its factors' classes, listed by
+  engine.class_product, the fold that also lists a product's children.
 
 A label fixes its children's labels by construction, which is all the
 paper's criterion asks; labels may be finer than isomorphism classes.
 The canonical form merges the factors with j = 1 into one abelian group,
 drops the trivial factor, and reads S_2 as C_2, C_3 wr S_2 as C_3 x S_3
 and C_2 wr S_3 as C_2 x S_4; with these, S_6 to S_9 get exactly one
-label per isomorphism class of centralizer.  LabelTable keys
-labels as z<order>.<tag>, so a label's key is an engine.IsoKey that never
-equals a group key g<order>.<tag> and sorts beside it in a product.
+label per isomorphism class of centralizer.  LabelTable, an
+engine.IsoRegistry, keys labels as z<order>.<tag>, so a label's key never
+equals a group key g<order>.<tag> and sorts beside it in a product.  The
+module uses only the engine's parts, and lists no group.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .engine import BranchingProcess, IsoKey, centralizer_tower
+from .engine import BranchingProcess, IsoKey, IsoRegistry, centralizer_tower, class_product
 from .errors import StateExplosionError
 
 __all__ = ["ZSetGroup", "LabelTable", "symmetric", "cyclic", "cyclic_wreath"]
@@ -123,8 +124,8 @@ def _partitions(n: int, most: int, cap: int):
     if n == 0:
         yield ()
         return
-    if most:
-        for first in range(min(n, cap), 0, -1):
+    if most:  # the largest part is at least n / most
+        for first in range(min(n, cap), -(-n // most) - 1, -1):
             for rest in _partitions(n - first, most - 1, first):
                 yield (first, *rest)
 
@@ -148,9 +149,9 @@ def _label(entries) -> Label:
     return _normal(abelian), tuple(sorted(wreaths))
 
 
-def _entries(label: Label) -> list[tuple[Abelian, int]]:
-    abelian, wreaths = label
-    return [(abelian, 1), *wreaths]
+def _times(x: Label, y: Label) -> Label:
+    """The label of x times y; canonical labels' wreath factors stay canonical."""
+    return _normal(x[0] + y[0]), tuple(sorted(x[1] + y[1]))
 
 
 def _order(label: Label) -> int:
@@ -202,21 +203,13 @@ def _wreath_classes(a: Abelian, j: int) -> tuple[tuple[Label, int], ...]:
 
 
 def _branches(label: Label) -> list[tuple[Label, int]]:
-    """The state's classes as (centralizer label, count) pairs: tuples of
-    its factors' classes, folded one factor at a time.  Multiplying by one
-    factor's class keeps distinct labels distinct (finite abelian groups
-    and multisets cancel), so a partial fold with too many labels already
-    shows a state with too many children."""
+    """The state's classes as (centralizer label, count) pairs: tuples of its
+    factors' classes, times |A| for the abelian factor A.  No fold step merges
+    labels (abelian groups and multisets cancel), so one check at the end suffices."""
     abelian, wreaths = label
-    partial = Counter({(abelian, ()): math.prod(abelian)})
-    for a, j in wreaths:
-        step = Counter()
-        for prefix, mult in partial.items():
-            for more, n in _wreath_classes(a, j):
-                step[_label(_entries(prefix) + _entries(more))] += mult * n
-        _check_label_count(step, f"the classes of a group of order {_order(label)}")
-        partial = step
-    return list(partial.items())
+    out = class_product((abelian, ()), [_wreath_classes(a, j) for a, j in wreaths], _times)
+    _check_label_count(out, f"the classes of a group of order {_order(label)}")
+    return [(child, n * math.prod(abelian)) for child, n in out.items()]
 
 
 def _name(a: Abelian, j: int) -> str:
@@ -241,7 +234,10 @@ class ZSetGroup(NamedTuple):
         return out
 
     def process(self, table: "LabelTable") -> BranchingProcess:
-        """Its commuting tree (engine.centralizer_tower), keyed by table."""
+        """Its commuting tree (engine.centralizer_tower), keyed by table.  The
+        root's classes are checked before its key, and so its order, exists."""
+        for a, j in self.label[1]:
+            _wreath_classes(a, j)
         return centralizer_tower(self.label, table, _branches)
 
 
@@ -257,25 +253,21 @@ def cyclic_wreath(k: int, m: int) -> ZSetGroup:
     return ZSetGroup(_label([(_normal([k]), m)]))
 
 
-class LabelTable:
-    """Z keys: one IsoKey z<order>.<tag> per label, tags in first-seen order.
-
-    Confine one table to the trees of one command, so that every Z factor
-    of a product is keyed by it.  representatives maps a key to its label.
-    """
-
-    def __init__(self):
-        self._keys: dict[Label, IsoKey] = {}
-        self.representatives: dict[IsoKey, Label] = {}
+class LabelTable(IsoRegistry):
+    """The engine's IsoRegistry for labels, each its own same-set key, so no
+    isomorphism test or size bucket is needed; keys print as z<order>.<tag>.
+    Confine one table to the trees of one command, so that every Z factor of
+    a product is keyed by it."""
 
     def key_for(self, label: Label) -> IsoKey:
-        key = self._keys.get(label)
+        """Key of label; a label seen before computes no order."""
+        key = self._by_same_set.get(label)
         if key is None:
-            if len(self._keys) >= LABEL_LIMIT:
+            if len(self.representatives) >= LABEL_LIMIT:
                 raise StateExplosionError(
-                    f"more than {LABEL_LIMIT} labels, the label limit: {len(self._keys)} "
+                    f"more than {LABEL_LIMIT} labels, the label limit: {len(self.representatives)} "
                     f"labels found so far, the last {next(reversed(self.representatives))}"
                 )
-            key = self._keys[label] = IsoKey("z", _order(label), len(self._keys))
+            key = self._by_same_set[label] = IsoKey("z", _order(label), len(self.representatives))
             self.representatives[key] = label
         return key

@@ -33,11 +33,11 @@ def run_cli(argv):
     return status, out.getvalue()
 
 
-def _run_module(*argv):
+def _run_module(*argv, timeout=120):
     # `python -m branchgf.cli` in a fresh interpreter, on this checkout's package.
     env = {**os.environ, "PYTHONPATH": str(Path(branchgf.__file__).parents[1])}
     return subprocess.run([sys.executable, "-m", "branchgf.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_module_entry_point_in_a_fresh_interpreter():
@@ -196,6 +196,41 @@ def test_over_large_names_say_how_far_they_got(name, limit, capsys):
     err = capsys.readouterr().err
     assert f"more than 2000 {limit}, the label limit" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["D300", "D10000000", "D10000000xC2", "C2xD10000000"])
+def test_over_large_dihedral_names_build_no_permutation(name, monkeypatch, capsys):
+    # D<n> is refused from 2n alone; a permutation of degree 10^7 would not fit.
+    _refuse_perms(monkeypatch)
+    for kind in ("commuting", "burnside"):
+        assert run_cli(["group", "--name", name, "--kind", kind]) == (EXIT_LIMIT, "")
+        err = capsys.readouterr().err
+        assert "(OrderLimitError): group order exceeds the limit 512" in err
+
+
+HUGE_NAMES = [["S10000000"], ["S10000000", "--kind", "burnside"], ["C2wrS10000000"],
+              ["D10000000"], ["D10000000xC2"]]
+
+
+@pytest.mark.parametrize("argv", HUGE_NAMES, ids=[" ".join(argv) for argv in HUGE_NAMES])
+def test_huge_names_exit_3_at_once(argv):
+    # A fresh interpreter with a short timeout: a hang fails here instead of stalling.
+    done = _run_module("group", "--name", *argv, timeout=20)
+    assert (done.returncode, done.stdout) == (EXIT_LIMIT, "")
+    assert done.stderr.startswith("limit exceeded (") and "Traceback" not in done.stderr
+
+
+def test_oracle_suite_checks_the_trees_the_group_command_builds(monkeypatch):
+    built = []
+    trees = cli.factor_trees
+
+    def recording(factors):
+        built.append([type(factor).__name__ for factor in factors])
+        return trees(factors)
+
+    monkeypatch.setattr(cli, "factor_trees", recording)
+    assert run_cli(["verify", "--suite", "oracles"])[0] == EXIT_OK
+    assert built == [["ZSetGroup"], ["ZSetGroup"], ["ZSetGroup"], ["PermGroup"]]
 
 
 def _recorded_symmetric_groups(monkeypatch) -> list:

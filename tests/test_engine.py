@@ -15,6 +15,7 @@ from branchgf.engine import (
     build_branching,
     centralizer_tower,
     class_gfs,
+    class_product,
     denominators_divide_det,
     gf_total,
     product_process,
@@ -25,6 +26,7 @@ from branchgf.errors import StateExplosionError
 from branchgf.matrixalg import Fq, MatRing, RingKeyRegistry, Subalgebra
 from branchgf.perms import KeyRegistry, symmetric_group
 from branchgf.polyring import Poly, RatFun, one_minus, ratfun_sum, resolvent_column
+from branchgf.wreaths import LabelTable, symmetric
 
 
 def two_class_process():
@@ -239,9 +241,27 @@ def test_group_and_ring_keys_share_one_type():
     ring_key = RingKeyRegistry().key_for(Subalgebra.full(MatRing(Fq(2), 2)))
     assert type(group_key) is type(ring_key) is IsoKey
     assert (str(group_key), str(ring_key)) == ("g120.0", "r16.0")
-    for registry in (KeyRegistry, RingKeyRegistry):
+    for registry in (KeyRegistry, RingKeyRegistry, LabelTable):
         assert issubclass(registry, IsoRegistry)
         assert [name for name in vars(registry) if not name.startswith("__")] == ["key_for"]
+
+
+def test_labels_are_keyed_with_no_test_and_no_bucket():
+    table = LabelTable()
+    label = symmetric(6).label
+    key = table.key_for(label)
+    assert (str(key), table.key_for(label), table.representatives) == ("z720.0", key, {key: label})
+    assert table._by_size == {}  # no isomorphism test could ever run
+
+
+def test_class_product_folds_factor_classes():
+    assert class_product("start", [], max) == {"start": 1}
+    # C2 x C3 by class sizes: the fold multiplies centralizer orders and counts.
+    got = class_product(1, [{2: 2}.items(), {3: 3}.items()], lambda z, w: z * w)
+    assert got == {6: 6}
+    got = class_product((), [[("a", 1), ("b", 2)], [("a", 3)]],
+                        lambda part, c: tuple(sorted(part + (c,))))
+    assert list(got.items()) == [(("a", "a"), 3), (("a", "b"), 6)]
 
 
 def test_engine_imports_no_instantiation():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from branchgf import fields, orbits, zsets
+from branchgf import fields, orbits, wreaths, zsets
 from branchgf.cli import parse_group_name
 from branchgf.configs import _gl_action_tables
 from branchgf.matrixalg import Subalgebra, _matrix_ring, unit_conjugation_tables
@@ -42,6 +42,11 @@ def test_fields_imports_nothing_from_the_package():
 def test_zsets_closed_form_imports_nothing_from_the_package():
     # The Z^n-set count checks the group tree, so it shares none of its code.
     assert _package_imports(zsets) == set()
+
+
+def test_wreaths_imports_only_the_engine_and_errors():
+    # The label trees are built from the engine's parts, with no group code.
+    assert _package_imports(wreaths) == {".engine", ".errors"}
 
 
 def _c4_to_klein_step(pair, gen):

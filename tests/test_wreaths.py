@@ -15,9 +15,15 @@ from collections import Counter
 import pytest
 
 from branchgf import wreaths
-from branchgf.cli import main, parse_ratfun_record
-from branchgf.commuting import burnside_gf_elementwise, commuting_gf
-from branchgf.engine import build_branching, gf_total, verify_tree
+from branchgf.cli import (
+    factor_trees,
+    main,
+    parse_group_factors,
+    parse_group_name,
+    parse_ratfun_record,
+)
+from branchgf.commuting import burnside_gf_elementwise, commuting_gf, commuting_process
+from branchgf.engine import build_branching, gf_total, product_process, verify_tree
 from branchgf.errors import StateExplosionError
 from branchgf.perms import Perm, PermGroup, symmetric_group
 from branchgf.zsets import symmetric_commuting_counts
@@ -132,6 +138,21 @@ def test_z_keys_never_equal_group_keys():
     assert status == 0
     labels = text.splitlines()[1]
     assert '"g8.0xz2.0"' in labels
+
+
+def test_listed_d4_and_labelled_c2_wr_s2_give_one_product_tree():
+    # D4 is C2 wr S2, but a D4 factor is keyed by the KeyRegistry and a
+    # C2wrS2 factor by the LabelTable; the products must still agree, and
+    # each with the tree of its element-listed group.
+    gfs = {}
+    for name in ("D4xC2wrS2", "C2wrS2xC2wrS2"):
+        product = product_process(*factor_trees(parse_group_factors(name)))
+        listed = commuting_process(parse_group_name(name))
+        assert verify_tree(product, 8) and verify_tree(listed, 8)
+        gfs[name] = gf_total(build_branching(product))
+        assert gfs[name] == gf_total(build_branching(listed))
+    assert gfs["D4xC2wrS2"] == gfs["C2wrS2xC2wrS2"]
+    assert gfs["D4xC2wrS2"].series(8) == gfs["C2wrS2xC2wrS2"].series(8)
 
 
 def test_label_limit_says_how_far_it_got(monkeypatch, capsys):
