@@ -14,8 +14,11 @@ registry, engine.product_process combines the factors' trees, and
 burnside_gf combines their classes, both through engine.class_product,
 so neither lists a product element.
 Orbit counts of all (not necessarily commuting) tuples have a classical
-closed form as a centralizer-size partial-fraction sum, implemented here
-both over the group elements and, for symmetric groups, over partitions.
+closed form, the sum over classes of 1/(z (1 - zt)) with z the centralizer
+order.  burnside_gf tallies the classes of any group by z and
+symmetric_burnside_gf tallies S_m's cycle types by z_lambda; both hand the
+tally to one centralizer-order sum, which needs no gcd until its one
+reduction.  burnside_gf_elementwise sums element by element as a check.
 
 The brute-force oracle counts the same orbits by canonical-representative
 enumeration (branchgf.orbits).
@@ -23,13 +26,15 @@ enumeration (branchgf.orbits).
 
 from __future__ import annotations
 
+import math
 import operator
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from .engine import BranchingProcess, build_branching, centralizer_tower, class_product, gf_total
 from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
 from .perms import KeyRegistry, PermGroup, partitions, zlambda
-from .polyring import Poly, RatFun, ratfun_sum
+from .polyring import Poly, RatFun, one_minus, ratfun_sum
 
 if TYPE_CHECKING:
     from .wreaths import ZSetGroup
@@ -80,8 +85,30 @@ def burnside_gf(*groups: PermGroup | ZSetGroup) -> RatFun:
     Each group, a PermGroup or a wreaths.ZSetGroup, gives its classes as
     centralizer_orders.
     """
-    tally = class_product(1, (group.centralizer_orders.items() for group in groups), operator.mul)
-    return ratfun_sum(RatFun(Poly([count]), Poly([z, -z * z])) for z, count in tally.items())
+    return _centralizer_sum(
+        class_product(1, (group.centralizer_orders.items() for group in groups), operator.mul)
+    )
+
+
+def _centralizer_sum(tally: dict[int, int]) -> RatFun:
+    """The sum over distinct z of c_z/(z (1 - zt)), for tally = {z: c_z}, reduced once.
+
+    Distinct z give pairwise coprime factors 1 - zt, so with L = lcm(z) the sum
+    is the sum of (c_z L/z)/(1 - zt), divided by L: halves add over the product
+    of their denominators, with no gcd or lcm until the one reduction.
+    """
+    lcm = math.lcm(*tally)
+    terms = [(Poly([count * (lcm // z)]), one_minus(z)) for z, count in tally.items()]
+
+    def merged(lo: int, hi: int) -> tuple[Poly, Poly]:
+        if hi - lo == 1:
+            return terms[lo]
+        mid = (lo + hi) // 2
+        (num1, den1), (num2, den2) = merged(lo, mid), merged(mid, hi)
+        return num1 * den2 + num2 * den1, den1 * den2
+
+    num, den = merged(0, len(terms))
+    return RatFun(num, den.scale(lcm))
 
 
 def burnside_gf_elementwise(group: PermGroup) -> RatFun:
@@ -101,11 +128,7 @@ def symmetric_burnside_gf(m: int) -> RatFun:
     """Tuple-orbit generating function of S_m via the cycle-type sum."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    terms = []
-    for lam in partitions(m):
-        z = zlambda(lam)
-        terms.append(RatFun(Poly([1]), Poly([z]) * Poly([1, -z])))
-    return ratfun_sum(terms)
+    return _centralizer_sum(Counter(zlambda(lam) for lam in partitions(m)))
 
 
 # -- brute-force orbit oracle --------------------------------------------------

@@ -3,9 +3,12 @@
 Groups are stored as full element lists (every listed group has order at
 most a few thousand, where filtering beats stabilizer-chain machinery) and
 are immutable once built; the command's trees of S_m, C_k and C_k wr S_m
-list no group at all (branchgf.wreaths).  Products of permutations
-already known to be valid skip the validation that the public Perm
-constructor runs.
+list no group at all (branchgf.wreaths).  The named constructors keep the
+generators they build from (S_m's transposition and m-cycle, a product's
+factor generators), and conjugacy classes close under those; only a group
+given without them, such as a centralizer, needs a greedy generating set
+for its classes.  Products of permutations already known to be valid skip
+the validation that the public Perm constructor runs.
 Generating sets, conjugation orbits, map extension and the image search
 come from branchgf.orbits, shared with the ring code.  Isomorphism testing
 screens by the order and then by cheap invariants (the derived subgroup
@@ -200,13 +203,17 @@ class ConjClass(NamedTuple):
 
 
 class PermGroup:
-    """Immutable permutation group given by its full, sorted element list."""
+    """Immutable permutation group given by its full, sorted element list and,
+    from a named constructor, the generators it was built from (else None)."""
 
-    def __init__(self, degree: int, elements: Sequence[Perm]):
+    def __init__(
+        self, degree: int, elements: Sequence[Perm], generators: Sequence[Perm] | None = None
+    ):
         self.degree = degree
         self.elements: tuple[Perm, ...] = tuple(sorted(set(elements)))
         if not self.elements:
             raise ValueError("a group needs at least the identity")
+        self.generators = None if generators is None else tuple(generators)
 
     @classmethod
     def from_generators(
@@ -220,11 +227,11 @@ class PermGroup:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
         elements = closure(Perm.identity(degree), generators, operator.mul, order_limit)
-        return cls(degree, list(elements))
+        return cls(degree, list(elements), generators)
 
     @classmethod
     def trivial(cls, degree: int = 1) -> "PermGroup":
-        return cls(degree, [Perm.identity(degree)])
+        return cls(degree, [Perm.identity(degree)], ())
 
     # -- basic queries ------------------------------------------------------
 
@@ -281,8 +288,8 @@ class PermGroup:
 
     @cached_property
     def _conjugation_orbits(self) -> tuple[frozenset[Perm], ...]:
-        # Conjugating by a generating set reaches the whole orbit.
-        gens = self.small_generating_set
+        # Conjugating by any generating set reaches the whole orbit.
+        gens = self.small_generating_set if self.generators is None else self.generators
         return tuple(orbit_partition(self.elements, gens, lambda y, g: g.conjugate(y)))
 
     @cached_property
@@ -450,8 +457,9 @@ def symmetric_group(m: int) -> PermGroup:
         raise ValueError("symmetric_group supports 1 <= m <= 8")
     if m == 1:
         return PermGroup.trivial(1)
+    elements = [Perm._trusted(images) for images in itertools.permutations(range(m))]
     gens = [Perm([1, 0] + list(range(2, m))), Perm(list(range(1, m)) + [0])]
-    return PermGroup.from_generators(m, gens, order_limit=math.factorial(m))
+    return PermGroup(m, elements, gens)
 
 
 def cyclic_group(k: int) -> PermGroup:
@@ -485,14 +493,17 @@ def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
         raise OrderLimitError(
             f"direct product order {order} exceeds the limit {PRODUCT_ORDER_LIMIT}"
         )
-    degree = g.degree + h.degree
     shift = g.degree
-    elements = [
-        Perm(list(a.images) + [shift + x for x in b.images])
-        for a in g.elements
-        for b in h.elements
-    ]
-    return PermGroup(degree, elements)
+
+    def pair(a: Perm, b: Perm) -> Perm:
+        return Perm(list(a.images) + [shift + x for x in b.images])
+
+    elements = [pair(a, b) for a in g.elements for b in h.elements]
+    generators = None
+    if g.generators is not None and h.generators is not None:
+        generators = [pair(a, h.identity) for a in g.generators]
+        generators += [pair(g.identity, b) for b in h.generators]
+    return PermGroup(g.degree + h.degree, elements, generators)
 
 
 def wreath_c2_s2() -> PermGroup:

@@ -1,12 +1,18 @@
 """Commuting-tuple conjugacy classes and tuple-orbit series."""
 
+import hashlib
 import itertools
 import math
+import operator
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from branchgf import wreaths
 from branchgf.commuting import (
+    _centralizer_sum,
     burnside_gf,
     burnside_gf_elementwise,
     commuting_gf,
@@ -20,6 +26,7 @@ from branchgf.cli import factor_trees, parse_group_factors, parse_group_name
 from branchgf.engine import (
     bfs_level_counts,
     build_branching,
+    class_product,
     gf_total,
     product_process,
     verify_tree,
@@ -39,7 +46,7 @@ from branchgf.perms import (
     symmetric_group,
     wreath_c2_s2,
 )
-from branchgf.polyring import Poly, RatFun, one_minus
+from branchgf.polyring import Poly, RatFun, one_minus, ratfun_sum
 from branchgf.zsets import symmetric_commuting_counts
 
 
@@ -119,8 +126,56 @@ def test_burnside_gf_trivial_group():
 
 
 def test_burnside_elementwise_agrees():
-    for group in (symmetric_group(3), symmetric_group(4), dihedral_group(4)):
-        assert burnside_gf(group) == burnside_gf_elementwise(group)
+    for name in ("S1", "S3", "S4", "S5", "D4", "D5", "C6", "C2wrS2", "C2xS3"):
+        group = parse_group_name(name)
+        assert burnside_gf(group) == burnside_gf_elementwise(group), name
+
+
+def _term_by_term(tally: dict[int, int]) -> RatFun:
+    # The centralizer sum with one reduced term c/(z (1 - zt)) per z, added
+    # by ratfun_sum's lcm merging.
+    return ratfun_sum(RatFun(Poly([count]), Poly([z, -z * z])) for z, count in tally.items())
+
+
+def _product_tally(name: str) -> Counter:
+    factors = parse_group_factors(name)
+    return class_product(1, (f.centralizer_orders.items() for f in factors), operator.mul)
+
+
+def _random_tally(seed: int) -> Counter:
+    rng = random.Random(seed)
+    zs = rng.sample(range(1, 5000), rng.randint(1, 40))
+    return Counter({z: rng.randint(1, 10**6) for z in zs})
+
+
+LISTED_NAMES = [*(f"S{m}" for m in range(1, 7)), *(f"D{n}" for n in range(1, 13)),
+                *(f"C{k}" for k in range(1, 13)), "C2wrS2"]
+
+
+@pytest.mark.parametrize("tally", [
+    *(pytest.param(lambda name=name: parse_group_name(name).centralizer_orders, id=name)
+      for name in LISTED_NAMES),
+    *(pytest.param(lambda m=m: wreaths.symmetric(m).centralizer_orders, id=f"zset-S{m}")
+      for m in range(1, 21)),
+    *(pytest.param(lambda name=name: _product_tally(name), id=name)
+      for name in ("S8xS8xS4", "D200xD200")),
+    *(pytest.param(lambda seed=seed: _random_tally(seed), id=f"random-{seed}")
+      for seed in range(50)),
+])
+def test_centralizer_sum_matches_the_term_by_term_sum(tally):
+    tally = tally()
+    assert _centralizer_sum(tally) == _term_by_term(tally)
+
+
+@pytest.mark.parametrize("m,digest", [
+    (12, "dbcf14986e6acbc5d63e350c3f1629d6a1db685180102f889908d610deaec159"),
+    (14, "3f27844c6b3c67f15a077b125de9a5aea356118bc3149efa5450a71dd5e7c673"),
+    (16, "365bda078b6961a007cbbb1c90977a010de16aeec0e78562d550d34fe0e5f13b"),
+])
+def test_burnside_display_is_pinned(m, digest):
+    # sha256 of str(burnside_gf(S_m)) as the term-by-term sum printed it.
+    text = str(burnside_gf(wreaths.symmetric(m)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

@@ -1,6 +1,7 @@
 """Permutation kernel: closure, centralizers, conjugacy, isomorphism keys."""
 
 import math
+import operator
 import random
 from collections import Counter
 
@@ -8,7 +9,7 @@ import pytest
 
 from branchgf import orbits, perms
 from branchgf.cli import parse_group_name
-from branchgf.commuting import commuting_process
+from branchgf.commuting import burnside_gf, commuting_process
 from branchgf.engine import build_branching
 from branchgf.errors import ElementNotInGroupError, OrderLimitError
 from branchgf.orbits import extend_map
@@ -324,6 +325,37 @@ def test_cycle_type_classes_and_centralizers_match_the_element_list(m):
         assert c.size * zlambda(lam) == sym.order == math.factorial(m)
         assert sym.centralizer([c.rep]).order == zlambda(lam)
     assert sym.is_abelian == (m <= 2)
+
+
+def _refuse_greedy_scans(monkeypatch) -> None:
+    def refused(*args, **kwargs):
+        raise RuntimeError("greedy generator scan")
+
+    monkeypatch.setattr(perms, "greedy_generators", refused)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_listed_symmetric_groups_need_no_greedy_scan(m, monkeypatch):
+    # S_m closes its classes under its own transposition and m-cycle (none
+    # for S1), which generate the listed elements; a copy given without
+    # generators reaches the greedy scan and finds the same classes.
+    reference = PermGroup(m, symmetric_group(m).elements)
+    expected = reference.conjugacy_classes, burnside_gf(reference)
+    _refuse_greedy_scans(monkeypatch)
+    group = symmetric_group(m)
+    assert (group.conjugacy_classes, burnside_gf(group)) == expected
+    assert len(group.generators) == (2 if m > 1 else 0)
+    assert set(group.elements) == orbits.closure(group.identity, group.generators, operator.mul)
+    with pytest.raises(RuntimeError, match="greedy"):
+        PermGroup(m, group.elements).conjugacy_classes
+
+
+@pytest.mark.parametrize("name", [*(f"D{n}" for n in range(1, 13)), "C6", "C2wrS2", "C2xS3"])
+def test_listed_classes_need_no_greedy_scan(name, monkeypatch):
+    listed = parse_group_name(name)
+    expected = PermGroup(listed.degree, listed.elements).conjugacy_classes
+    _refuse_greedy_scans(monkeypatch)
+    assert parse_group_name(name).conjugacy_classes == expected
 
 
 def test_subgroup_orders_divide_degree_factorial():
