@@ -21,7 +21,8 @@ tally to one centralizer-order sum, which needs no gcd until its one
 reduction.  burnside_gf_elementwise sums element by element as a check.
 
 The brute-force oracle counts the same orbits by canonical-representative
-enumeration (branchgf.orbits).
+enumeration (branchgf.orbits), extending a representative by the least
+images of its centralizer under conjugation by its stabilizer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import Counter
 from typing import TYPE_CHECKING
 
 from .engine import BranchingProcess, build_branching, centralizer_tower, class_product, gf_total
-from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
+from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, stabilizer_minima
 from .perms import KeyRegistry, PermGroup, partitions, zlambda
 from .polyring import Poly, RatFun, one_minus, ratfun_sum
 
@@ -140,8 +141,9 @@ def commuting_orbit_counts(
     """Exact orbit counts of commuting n-tuples for n = 0..n_max.
 
     Representatives are lexicographically least under simultaneous
-    conjugation, and a prefix is extended only by elements centralizing it.
-    The budget caps the number of candidate tuples examined.
+    conjugation, and a prefix is extended only by elements centralizing it,
+    each replaced by its least conjugate under the conjugation tables that
+    fix the prefix.  The budget caps the number of candidates examined.
     """
     tables = group.conjugation_tables
 
@@ -149,6 +151,6 @@ def commuting_orbit_counts(
         # Element c centralizes a iff conjugation by c fixes a.
         return [c for c in range(group.order) if all(tables[c][a] == a for a in rep)]
 
-    levels = canonical_levels(n_max, centralizing, canonical_form(tables), budget)
+    levels = canonical_levels(n_max, centralizing, stabilizer_minima(tables), budget)
     return [len(reps) for reps in levels]
 

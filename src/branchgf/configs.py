@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator
 from .engine import BranchingProcess
 from .errors import SizeLimitError
 from .fields import Fq, echelon_basis, span_values
-from .orbits import DEFAULT_WORK_BUDGET, canonical_form, canonical_levels
+from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, stabilizer_minima
 from .polyring import ONE, Poly, RatFun, ratfun_sum
 
 __all__ = [
@@ -183,19 +183,6 @@ def q_bell(n: int, q: int) -> int:
 # -- enumeration oracles -----------------------------------------------------------
 
 
-def _rgs_canonical(tup: tuple[int, ...]) -> tuple[int, ...]:
-    # Least relabeling of the entries: each value is renamed to its rank of
-    # first appearance, which is the lexicographic minimum over the whole
-    # symmetric group on the alphabet.
-    rename: dict[int, int] = {}
-    out = []
-    for x in tup:
-        if x not in rename:
-            rename[x] = len(rename)
-        out.append(rename[x])
-    return tuple(out)
-
-
 def _type_splits(
     levels: Iterable[list[tuple[int, ...]]], m: int, type_of: Callable[[tuple[int, ...]], int]
 ) -> tuple[list[int], list[list[int]]]:
@@ -216,9 +203,13 @@ def point_orbit_counts(
     """Orbit totals and per-type splits for point tuples, by direct enumeration.
 
     Returns (totals, by_type) with by_type[n][i] the number of level-n
-    orbits of type i.  Any point may extend a prefix.
+    orbits of type i.  Any point may extend a prefix.  A canonical
+    representative with k distinct points uses the points 0..k-1; its
+    stabilizer fixes those and permutes the rest, so the least images of
+    the points are 0..k-1 and then k.
     """
-    levels = canonical_levels(n_max, lambda rep: range(m), _rgs_canonical, budget)
+    lows = [[*range(k), *[k] * (m - k)] for k in range(m + 1)]
+    levels = canonical_levels(n_max, lambda rep: range(m), lambda r: lows[len(set(r))], budget)
     return _type_splits(levels, m, lambda rep: len(set(rep)))
 
 
@@ -272,7 +263,7 @@ def _vector_rep_levels(
 ) -> Iterator[list[tuple[int, ...]]]:
     """Canonical orbit representatives (as vector-index tuples) per level."""
     tables = _gl_action_tables(q, m)
-    return canonical_levels(n_max, lambda rep: range(q**m), canonical_form(tables), budget)
+    return canonical_levels(n_max, lambda rep: range(q**m), stabilizer_minima(tables), budget)
 
 
 def vector_orbit_counts(
@@ -281,7 +272,9 @@ def vector_orbit_counts(
     """Orbit totals and per-type splits for vector tuples under GL_m(F_q).
 
     Canonical representatives are lexicographic minima over the explicitly
-    enumerated general linear group, so keep m small.
+    enumerated general linear group, each extended by the least images of
+    the vectors under the matrices that fix it (orbits.stabilizer_minima),
+    so keep m small.
     """
     field = _field(q)
     vectors = _vector_list(q, m)

@@ -24,7 +24,8 @@ them are evaluated from basis images by fields.span_values.  Units are
 read off determinants, with no inverse per element.  Unit generators and
 their conjugation tables are chosen in one place,
 Subalgebra.unit_generators, for the tree's unit classes and the oracle's
-unit tables alike.
+unit tables alike; the oracle's tables are their closure
+(unit_conjugation_tables), one per inner automorphism.
 
 The tree's root lists no elements.  Its classes are the rational canonical
 forms (similarity_classes), read off the monic irreducibles over F_q, and
@@ -38,8 +39,8 @@ elements, raise SizeLimitError before their field is built (M_4(F_2),
 M_3(F_7) and M_2(F_139) run).  The brute-force oracle
 module_orbit_counts enumerates the same classes with branchgf.orbits, on
 rings of up to ORACLE_SIZE_LIMIT elements; it reads the full subring's
-elements, units and unit tables, but nothing of the tree's root classes,
-centralizers or keys.
+elements, units, center and unit tables, but nothing of the tree's root
+classes, centralizers or keys.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from .commuting import partitions
 from .engine import centralizer_tower, gf_total
 from .errors import ElementNotInAlgebraError, SizeLimitError
 from .fields import Fq, Span, prime_power, span_values
-from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, extend_map
-from .orbits import canonical_form, greedy_generators, orbit_partition, search_images
+from .orbits import DEFAULT_WORK_BUDGET, canonical_levels, closure, greedy_generators
+from .orbits import orbit_partition, search_images, stabilizer_minima
 from .polyring import RatFun
 
 __all__ = [
@@ -356,27 +357,19 @@ def unit_conjugacy_classes(z: Subalgebra) -> list[tuple[Mat, int]]:
 
 
 def unit_conjugation_tables(z: Subalgebra) -> tuple[tuple[int, ...], ...]:
-    """Per unit u of z, the index permutation x -> u x u^-1 of
-    z.sorted_elements, composed from the generator tables:
-    table_ug = table_u o table_g, which is itemgetter(*table_g)(table_u),
-    one getter built per generator.  An itemgetter of one index returns a
-    scalar, so a one-entry table, which only a one-element z has, composes
-    by tuple instead."""
-    ring = z.ring
-
-    def compose(pair, gen):
-        (u, table_u), (g, getter) = pair, gen
-        return ring.mul(u, g), getter(table_u)
-
-    getters = [
-        (g, itemgetter(*table) if len(table) > 1 else tuple)
-        for g, table in z.unit_generators
-    ]
-    start = (ring.identity, tuple(range(z.size)))
-    tables = extend_map(start, getters, compose)
-    if tables is None or len(tables) != len(z.units):
+    """The distinct index permutations x -> u x u^-1 of z.sorted_elements
+    over the units u of z, sorted: one per inner automorphism, so
+    |units| / |central units| of them.  They are the closure of the
+    generator tables under composition: table_ug = table_u o table_g is
+    itemgetter(*table_g)(table_u), one getter built per generator, with no
+    matrix product.  An itemgetter of one index returns a scalar, so a
+    one-entry table, which only a one-element z has, composes by tuple
+    instead.  A closure of the wrong size raises ArithmeticError."""
+    getters = [itemgetter(*table) if len(table) > 1 else tuple for _g, table in z.unit_generators]
+    tables = closure(tuple(range(z.size)), getters, lambda table, getter: getter(table))
+    if len(tables) * len(z.center.units) != len(z.units):
         raise ArithmeticError("the unit generators do not generate the unit group")
-    return tuple(tables[u] for u in z.units)
+    return tuple(sorted(tables))
 
 
 # -- ring isomorphism keys ------------------------------------------------------
@@ -638,10 +631,12 @@ def module_orbit_counts(
 ) -> list[int]:
     """Brute-force counts of simultaneous-similarity classes of commuting tuples.
 
-    Representatives are lexicographic minima over the full unit group, and
-    a prefix is extended only by elements commuting with all its entries,
-    the intersection of their _commutant sets, memoised per element.  Rings
-    above ORACLE_SIZE_LIMIT elements are refused before anything is built.
+    Representatives are lexicographic minima under conjugation by the full
+    unit group.  A prefix is extended only by elements commuting with all
+    its entries, the intersection of their _commutant sets, memoised per
+    element, each replaced by its least image under the unit tables that
+    fix the prefix (orbits.stabilizer_minima).  Rings above
+    ORACLE_SIZE_LIMIT elements are refused before anything is built.
     """
     _check_sizes(q, m, oracle=True)
     full = Subalgebra.full(_matrix_ring(q, m))
@@ -650,8 +645,8 @@ def module_orbit_counts(
     def commuting(rep: tuple[int, ...]) -> list[int]:
         return sorted(set(range(full.size)).intersection(*map(commutant, rep)))
 
-    tables = unit_conjugation_tables(full)
-    levels = canonical_levels(n_max, commuting, canonical_form(tables), budget)
+    minima = stabilizer_minima(unit_conjugation_tables(full))
+    levels = canonical_levels(n_max, commuting, minima, budget)
     return [len(reps) for reps in levels]
 
 

@@ -2,11 +2,14 @@
 
 Every brute-force oracle in the package counts the orbits of a group
 acting coordinatewise on n-tuples the same way: level n+1 is reached by
-extending each canonical level-n representative by one coordinate and
-mapping every candidate to the canonical representative of its orbit.
-Because the action is coordinatewise, every level-(n+1) orbit contains
-such an extension of its prefix's representative.  The callers supply only
-the allowed extensions and the canonical form.
+extending each canonical (lexicographically least) level-n representative
+rep by one coordinate b.  The least image of rep + (b,) is rep + (v,),
+with v the least image of b under the stabilizer of rep, so the children
+of rep are read off those least images and no candidate tuple is
+canonicalised.  Because the action is coordinatewise, every level-(n+1)
+orbit contains such an extension of its prefix's representative.  The
+callers supply only the allowed extensions and the least images, from
+stabilizer_minima over their tables or, for a symmetric group, directly.
 
 The closure-based helpers serve the tree code for groups and rings alike
 (generating sets, conjugation orbits, map extension, and search_images,
@@ -23,7 +26,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 from .errors import OrderLimitError, WorkBudgetError
 
 __all__ = [
-    "DEFAULT_WORK_BUDGET", "canonical_levels", "least_image", "canonical_form", "closure",
+    "DEFAULT_WORK_BUDGET", "stabilizer_minima", "canonical_levels", "closure",
     "greedy_generators", "orbit_partition", "extend_map", "search_images",
 ]
 
@@ -34,83 +37,71 @@ T = TypeVar("T", bound=Hashable)
 G = TypeVar("G")
 
 
-def least_image(tables: Sequence[Sequence[int]], candidate: Rep) -> Rep:
-    """Lexicographic minimum of candidate under a list of index permutations."""
-    best = candidate
-    for table in tables:
-        image = tuple(table[i] for i in candidate)
-        if image < best:
-            best = image
-    return best
+def stabilizer_minima(tables: Sequence[Sequence[int]]) -> Callable[[Rep], list[int]]:
+    """The map rep -> low, for a canonical rep: low[b] is the least image of
+    point b under the tables (the identity included) that fix every entry of rep.
 
-
-def canonical_form(tables: Sequence[Sequence[int]]) -> Callable[[Rep], Rep]:
-    """The map candidate -> least_image(tables, candidate) for non-empty candidates.
-
-    A lexicographic minimum of prefix + (b,) begins with the least image of
-    the prefix, and only the tables that send the prefix there (with the
-    identity, which least_image also counts) can give its last entry.  Each
-    prefix met is memoised with that image, those tables, and low, the least
-    image of every point under them; a prefix's entry comes from its
-    parent's.  The canonical form of prefix + (b,) is image + (low[b],).
-    When every attaining table of the parent sends b to low[b] (then all of
-    them fix b), the tables and low are the parent's, reused, not recomputed.
+    A table keeps a canonical rep least exactly when it fixes it, so the
+    least image of rep + (b,) is rep + (low[b],).  Each rep met is memoised
+    with its fixing tables and low, from its parent's entry: the tables of
+    the parent that fix rep's last entry.  When none drops out, the
+    parent's tables and low are reused, not recomputed.
     """
-    identity = range(len(tables[0]))
-    entries: dict[Rep, tuple[Rep, list[Sequence[int]], list[int]]] = {}
+    fixing = [range(len(tables[0])), *tables]
+    entries: dict[Rep, tuple[list[Sequence[int]], list[int]]] = {
+        (): (fixing, list(map(min, zip(*fixing))))
+    }
 
-    def entry(prefix: Rep) -> tuple[Rep, list[Sequence[int]], list[int]]:
-        found = entries.get(prefix)
+    def entry(rep: Rep) -> tuple[list[Sequence[int]], list[int]]:
+        found = entries.get(rep)
         if found is None:
-            if prefix:
-                image, attaining, low = entry(prefix[:-1])
-                b = prefix[-1]
-                image = image + (low[b],)
-                kept = [table for table in attaining if table[b] == low[b]]
-                if len(kept) < len(attaining):
-                    attaining, low = kept, list(map(min, zip(*kept)))
-            else:
-                attaining = [identity, *tables]
-                image, low = (), list(map(min, zip(*attaining)))
-            found = entries[prefix] = (image, attaining, low)
+            fixing, low = entry(rep[:-1])
+            v = rep[-1]
+            kept = [table for table in fixing if table[v] == v]
+            if len(kept) < len(fixing):
+                fixing, low = kept, list(map(min, zip(*kept)))
+            found = entries[rep] = (fixing, low)
         return found
 
-    def canonical(candidate: Rep) -> Rep:
-        image, _attaining, low = entry(candidate[:-1])
-        return image + (low[candidate[-1]],)
-
-    return canonical
+    return lambda rep: entry(rep)[1]
 
 
 def canonical_levels(
     n_max: int,
     extensions: Callable[[Rep], Iterable[int]],
-    canonical: Callable[[Rep], Rep],
+    minima: Callable[[Rep], Sequence[int]],
     budget: int,
 ) -> Iterator[list[Rep]]:
     """Yield the sorted canonical representatives of levels 0..n_max.
 
-    extensions(rep) lists the coordinates that may follow rep; it is asked
-    only for representatives that are extended, so the last level costs
-    nothing beyond its own candidates.  Every candidate tuple counts as one
-    unit of work; WorkBudgetError is raised when the total exceeds budget.
+    extensions(rep) lists the coordinates that may follow rep, and
+    minima(rep) gives each point's least image under the stabilizer of rep
+    (stabilizer_minima); rep's children are rep + (v,) for the distinct v
+    among those least images, so no candidate tuple is formed.  Both are
+    asked only for representatives that are extended, so the last level
+    costs nothing beyond its own candidates.  Every candidate coordinate
+    counts as one unit of work; WorkBudgetError is raised when the total
+    exceeds budget.
     """
     reps: list[Rep] = [()]
     yield reps
     work = 0
     for level in range(1, n_max + 1):
-        found: set[Rep] = set()
+        children: list[Rep] = []
         for rep in reps:
+            low = minima(rep)
+            last: set[int] = set()
             for b in extensions(rep):
                 work += 1
                 if work > budget:
                     raise WorkBudgetError(
                         f"orbit enumeration ran out of work at level {level} of "
-                        f"{n_max}: {len(found)} representatives found so far, "
-                        f"{work - 1} of {budget} work used"
+                        f"{n_max}: {len(children) + len(last)} representatives found "
+                        f"so far, {work - 1} of {budget} work used"
                     )
-                found.add(canonical(rep + (b,)))
-        reps = sorted(found)
+                last.add(low[b])
+            children += [rep + (v,) for v in sorted(last)]
+        reps = children
         yield reps
 
 

@@ -5,10 +5,11 @@ most a few thousand, where filtering beats stabilizer-chain machinery) and
 are immutable once built; the command's trees of S_m, C_k and C_k wr S_m
 list no group at all (branchgf.wreaths).  The named constructors keep the
 generators they build from (S_m's transposition and m-cycle, a product's
-factor generators), and conjugacy classes close under those; only a group
-given without them, such as a centralizer, needs a greedy generating set
-for its classes.  Products of permutations already known to be valid skip
-the validation that the public Perm constructor runs.
+factor generators), and conjugacy classes, commutativity and the derived
+subgroup are read from those; only a group given without them, such as a
+centralizer, needs a greedy generating set for them.  Products of
+permutations already known to be valid skip the validation that the
+public Perm constructor runs.
 Generating sets, conjugation orbits, map extension and the image search
 come from branchgf.orbits, shared with the ring code.  Isomorphism testing
 screens by the order and then by cheap invariants (the derived subgroup
@@ -255,8 +256,7 @@ class PermGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        gens = self.small_generating_set
-        return all(a.commutes_with(b) for a, b in itertools.combinations(gens, 2))
+        return all(a.commutes_with(b) for a, b in itertools.combinations(self._generators, 2))
 
     @cached_property
     def element_order_counts(self) -> tuple[tuple[int, int], ...]:
@@ -276,6 +276,11 @@ class PermGroup:
             rank=lambda x: (x.order(), tuple(-i for i in x.images)),
         )
 
+    @property
+    def _generators(self) -> tuple[Perm, ...]:
+        """The constructor's generators, else the greedy generating set."""
+        return self.small_generating_set if self.generators is None else self.generators
+
     # -- subgroup machinery ---------------------------------------------------
 
     def centralizer(self, xs: Sequence[Perm]) -> "PermGroup":
@@ -289,8 +294,7 @@ class PermGroup:
     @cached_property
     def _conjugation_orbits(self) -> tuple[frozenset[Perm], ...]:
         # Conjugating by any generating set reaches the whole orbit.
-        gens = self.small_generating_set if self.generators is None else self.generators
-        return tuple(orbit_partition(self.elements, gens, lambda y, g: g.conjugate(y)))
+        return tuple(orbit_partition(self.elements, self._generators, lambda y, g: g.conjugate(y)))
 
     @cached_property
     def conjugacy_classes(self) -> tuple[ConjClass, ...]:
@@ -322,7 +326,7 @@ class PermGroup:
         by G, so x h c h^-1 = h ((h^-1 x h) c) h^-1 lies in it for every
         conjugate h c h^-1 of a commutator, and it is the normal closure.
         """
-        gens = self.small_generating_set
+        gens = self._generators
         commutators = {
             a.inverse() * b.inverse() * a * b for a, b in itertools.combinations(gens, 2)
         }

@@ -549,6 +549,21 @@ def test_module_oracle_matches_series():
     assert module_gf(3, 2).series(2) == module_orbit_counts(3, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "q,m,expected",
+    [
+        (4, 2, [1, 20, 336, 5440]),
+        (3, 2, [1, 12, 117, 1080]),
+        (2, 3, [1, 14, 144, 1296]),
+        (5, 1, [1, 5, 25, 125]),
+    ],
+)
+def test_module_oracle_matches_the_tree_to_level_3(q, m, expected):
+    # F_4 is not a prime field, and every ring here but M_3(F_2) has more
+    # than one central unit, so distinct unit tables are fewer than units.
+    assert module_orbit_counts(q, m, 3) == module_gf(q, m).series(3) == expected
+
+
 def test_module_oracle_on_zero_by_zero_matrices():
     # M_0(F_2) has one element, the empty matrix, which is its 0 and its 1.
     assert module_orbit_counts(2, 0, 3) == [1, 1, 1, 1]
@@ -877,14 +892,17 @@ def _direct_conjugation_tables(ring):
 
 @pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2)])
 def test_unit_conjugation_tables_match_direct_construction(q, m):
-    # The m = 1 rings have central units only; M_1(F_2) has no unit
-    # generator at all, so the identity table alone covers its 2 elements.
-    # M_2(F_4) has 180 units over 256 elements of a non-prime field; its
-    # tables fix the composition order table_u o table_g.
+    # The m = 1 rings have central units only, so the identity table alone;
+    # M_1(F_2) has no unit generator at all.  M_2(F_4) has 180 units over
+    # 256 elements of a non-prime field, and 180 / 3 = 60 inner
+    # automorphisms; its tables fix the composition order table_u o table_g.
+    # The units of M_m(F_q) in its center are the q - 1 nonzero scalars.
     ring = MatRing(Fq(q), m)
-    tables = unit_conjugation_tables(Subalgebra.full(ring))
+    full = Subalgebra.full(ring)
+    tables = unit_conjugation_tables(full)
     assert set(tables) == set(_direct_conjugation_tables(ring))
-    assert tables == _direct_conjugation_tables(ring)
+    assert len(set(tables)) == len(tables)
+    assert len(tables) * (q - 1) == len(full.units)
 
 
 def test_unit_conjugation_tables_of_a_one_element_ring():

@@ -3,15 +3,16 @@
 import ast
 import itertools
 import operator
-import random
 from pathlib import Path
 
 import pytest
 
 from branchgf import fields, orbits, wreaths, zsets
 from branchgf.cli import parse_group_name
-from branchgf.configs import _gl_action_tables
-from branchgf.matrixalg import Subalgebra, _matrix_ring, unit_conjugation_tables
+from branchgf.commuting import commuting_orbit_counts
+from branchgf.configs import _gl_action_tables, point_orbit_counts, vector_orbit_counts
+from branchgf.errors import WorkBudgetError
+from branchgf.matrixalg import Subalgebra, _matrix_ring, module_orbit_counts, unit_conjugation_tables
 from branchgf.perms import Perm, symmetric_group
 
 
@@ -146,6 +147,12 @@ def test_greedy_generators_match_a_from_scratch_closure(name):
     assert len(orbits.closure(args[1], gens, args[2])) == len(args[0])
 
 
+def _least_image(tables, candidate):
+    # Brute force: the lexicographic minimum of candidate under the
+    # identity and every table.
+    return min([candidate, *(tuple(table[i] for i in candidate) for table in tables)])
+
+
 @pytest.mark.parametrize(
     "tables",
     [
@@ -156,21 +163,41 @@ def test_greedy_generators_match_a_from_scratch_closure(name):
     ids=["module_M2F3", "commuting_S4", "vector_GL2F3"],
 )
 def test_canonical_form_agrees_with_least_image(tables):
-    # Every tuple of length 1 or 2, a superset of the oracles' candidates at
-    # levels <= 2, then sampled 3-tuples whose 2-prefix is not canonical
-    # (the oracles only extend canonical prefixes); without the first table
-    # the list is no longer a group.
+    # For every canonical rep of length <= 2 and every point b, the least
+    # image of rep + (b,) is rep + (minima(rep)[b],).  The first table of
+    # the first two sets is the identity, which minima add back, so the
+    # lists without the first two tables are the ones that are no group.
+    # Only canonical reps are asked: the oracles extend nothing else, so no
+    # caller needs minima of a prefix that is not canonical.
     tables = tables()
     points = range(len(tables[0]))
-    rng = random.Random(4)
-    for subset in (tables, tables[1:]):
-        canonical = orbits.canonical_form(subset)
-        for length in (1, 2):
-            for candidate in itertools.product(points, repeat=length):
-                assert canonical(candidate) == orbits.least_image(subset, candidate)
-        sampled = 0
-        while sampled < 200:
-            candidate = tuple(rng.choice(points) for _ in range(3))
-            if orbits.least_image(subset, candidate[:2]) != candidate[:2]:
-                assert canonical(candidate) == orbits.least_image(subset, candidate)
-                sampled += 1
+    for subset in (tables, tables[1:], tables[2:]):
+        minima = orbits.stabilizer_minima(subset)
+        for length in (0, 1, 2):
+            for rep in itertools.product(points, repeat=length):
+                if _least_image(subset, rep) == rep:
+                    low = minima(rep)
+                    for b in points:
+                        assert rep + (low[b],) == _least_image(subset, rep + (b,))
+
+
+@pytest.mark.parametrize(
+    "oracle,n_max,candidates",
+    [
+        # S4: 24 elements extend (), then the centralizers of the 5 class reps.
+        (lambda n, budget: commuting_orbit_counts(symmetric_group(4), n, budget), 2, 24 + 43),
+        # 4 points extend each of the 1, 1 and 2 reps of levels 0, 1 and 2.
+        (lambda n, budget: point_orbit_counts(4, n, budget), 3, 4 * (1 + 1 + 2)),
+        # M_2(F_2): 16 elements, then 16 commute with each of the 2 scalars
+        # and 4 with each of the other 4 class reps.
+        (lambda n, budget: module_orbit_counts(2, 2, n, budget), 2, 16 + 2 * 16 + 4 * 4),
+        # F_2^2: 4 vectors extend each of the 1 and 2 reps of levels 0 and 1.
+        (lambda n, budget: vector_orbit_counts(2, 2, n, budget), 2, 4 * (1 + 2)),
+    ],
+    ids=["commuting_S4", "point_m4", "module_M2F2", "vector_F2sq"],
+)
+def test_budget_counts_every_candidate(oracle, n_max, candidates):
+    # Exactly the candidates fit; one unit less runs out on the last level.
+    oracle(n_max, candidates)
+    with pytest.raises(WorkBudgetError, match=f"at level {n_max} of {n_max}:"):
+        oracle(n_max, candidates - 1)

@@ -358,6 +358,16 @@ def test_listed_classes_need_no_greedy_scan(name, monkeypatch):
     assert parse_group_name(name).conjugacy_classes == expected
 
 
+@pytest.mark.parametrize("name", [*(f"D{n}" for n in range(1, 13)), "C6", "C2wrS2", "C2xS3"])
+def test_listed_commutativity_and_derived_order_need_no_greedy_scan(name, monkeypatch):
+    listed = parse_group_name(name)
+    reference = PermGroup(listed.degree, listed.elements)
+    expected = reference.is_abelian, reference.derived_subgroup_order
+    _refuse_greedy_scans(monkeypatch)
+    group = parse_group_name(name)
+    assert (group.is_abelian, group.derived_subgroup_order) == expected
+
+
 def test_subgroup_orders_divide_degree_factorial():
     import math
 
