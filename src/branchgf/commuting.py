@@ -5,10 +5,10 @@ nodes of a rooted tree; a node's children are the conjugacy classes of the
 running centralizer, so keying each node by the isomorphism class of that
 centralizer yields a self-similar keying; commuting_process builds it
 with engine.centralizer_tower, as branchgf.matrixalg does for rings.
-This is the general path, for any listed group (D_n in the command
-line); S_m, C_k and C_k wr S_m need no listed group at all, as their
-trees come from Z^n-set labels (branchgf.wreaths), and the tier-1 tests
-hold the two paths to the same gfs.
+This is the general path, for any listed group; the group command needs
+no listed group at all, as the trees of S_m, C_k, C_k wr S_m and D_n come
+from labels (branchgf.wreaths).  The listed path stays as the tests'
+independent keying of those trees, which they hold to the same gfs.
 A direct product needs no tree of its own: with its factors keyed by one
 registry, engine.product_process combines the factors' trees, and
 burnside_gf combines their classes, both through engine.class_product,

@@ -2,11 +2,12 @@
 
 Groups are stored as full element lists (every listed group has order at
 most a few thousand, where filtering beats stabilizer-chain machinery) and
-are immutable once built; the command's trees of S_m, C_k and C_k wr S_m
-list no group at all (branchgf.wreaths).  The named constructors keep the
-generators they build from (S_m's transposition and m-cycle, a product's
-factor generators), and conjugacy classes, commutativity and the derived
-subgroup are read from those; only a group given without them, such as a
+are immutable once built.  The group command's trees list no group at
+all (branchgf.wreaths); listed groups serve verify's element sums and
+brute force and, in the tests, the independent keying of those trees.
+The named constructors keep the generators they build from (S_m's
+transposition and m-cycle, a product's factor generators), and conjugacy
+classes, commutativity and the derived subgroup are read from those; only a group given without them, such as a
 centralizer, needs a greedy generating set for them.  Products of
 permutations already known to be valid skip the validation that the
 public Perm constructor runs.

@@ -1,4 +1,4 @@
-"""Commuting trees of S_m, C_k and C_k wr S_m from Z^n-set labels, listing no group.
+"""Commuting trees of S_m, C_k, C_k wr S_m and D_n from labels, listing no group.
 
 A commuting n-tuple in S_m is an action of Z^n on m points (a Z^n-set), and
 its centralizer is the automorphism group of that Z^n-set: prod_i A_i wr
@@ -23,10 +23,17 @@ paper's criterion asks; labels may be finer than isomorphism classes.
 The canonical form merges the factors with j = 1 into one abelian group,
 drops the trivial factor, and reads S_2 as C_2, C_3 wr S_2 as C_3 x S_3
 and C_2 wr S_3 as C_2 x S_4; with these, S_6 to S_9 get exactly one
-label per isomorphism class of centralizer.  LabelTable, an
-engine.IsoRegistry, keys labels as z<order>.<tag>, so a label's key never
-equals a group key g<order>.<tag> and sorts beside it in a product.  The
-module uses only the engine's parts, and lists no group.
+label per isomorphism class of centralizer.
+
+D_n's root is the one label that is not a Z-set group's: ("D", n), for
+n >= 5.  Its classes are the central ones, centralized by D_n itself, the
+rotations, centralized by C_n, and the reflections, centralized by C_2 or,
+for n even, by C_2 x C_2, so every other node of its tree is a Z-set
+label.  D_1 to D_4 are read as C_2, C_2 x C_2, S_3 and C_2 wr S_2.
+
+LabelTable, an engine.IsoRegistry, keys labels as z<order>.<tag>, so a
+label's key never equals a group key g<order>.<tag> and sorts beside it in
+a product.  The module uses only the engine's parts, and lists no group.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from typing import NamedTuple
 from .engine import BranchingProcess, IsoKey, IsoRegistry, centralizer_tower, class_product
 from .errors import StateExplosionError
 
-__all__ = ["ZSetGroup", "LabelTable", "symmetric", "cyclic", "cyclic_wreath"]
+__all__ = ["ZSetGroup", "LabelTable", "symmetric", "cyclic", "cyclic_wreath", "dihedral"]
 
 # More labels than this in one command's trees, or among the classes of one
 # state, stop the build (S20's 1932 labels take 3.5 s on a 2-vCPU Xeon, most
@@ -48,8 +55,9 @@ __all__ = ["ZSetGroup", "LabelTable", "symmetric", "cyclic", "cyclic_wreath"]
 LABEL_LIMIT = 2000
 
 Abelian = tuple[int, ...]  # invariant factors d_1 | d_2 | ..., each > 1
-# (the factors with j = 1 as one abelian group, the sorted (A, j) with j >= 2)
-Label = tuple[Abelian, tuple[tuple[Abelian, int], ...]]
+# (the factors with j = 1 as one abelian group, the sorted (A, j) with j >= 2),
+# or ("D", n) for the dihedral root D_n, n >= 5
+Label = tuple[Abelian, tuple[tuple[Abelian, int], ...]] | tuple[str, int]
 
 
 def _normal(factors) -> Abelian:
@@ -156,6 +164,8 @@ def _times(x: Label, y: Label) -> Label:
 
 def _order(label: Label) -> int:
     abelian, wreaths = label
+    if abelian == "D":
+        return 2 * wreaths
     return math.prod(abelian) * math.prod(math.prod(a) ** j * math.factorial(j) for a, j in wreaths)
 
 
@@ -207,6 +217,10 @@ def _branches(label: Label) -> list[tuple[Label, int]]:
     factors' classes, times |A| for the abelian factor A.  No fold step merges
     labels (abelian groups and multisets cancel), so one check at the end suffices."""
     abelian, wreaths = label
+    if abelian == "D":  # D_n's central classes, rotations and reflections
+        n, even = wreaths, 1 - wreaths % 2
+        return [(label, 1 + even), (cyclic(n).label, (n - 1 - even) // 2),
+                (((2, 2) if even else (2,), ()), 1 + even)]
     out = class_product((abelian, ()), [_wreath_classes(a, j) for a, j in wreaths], _times)
     _check_label_count(out, f"the classes of a group of order {_order(label)}")
     return [(child, n * math.prod(abelian)) for child, n in out.items()]
@@ -217,7 +231,7 @@ def _name(a: Abelian, j: int) -> str:
 
 
 class ZSetGroup(NamedTuple):
-    """A group prod_i A_i wr S_(j_i) with every A_i abelian, given by its label."""
+    """A group prod_i A_i wr S_(j_i) with every A_i abelian, or D_n, given by its label."""
 
     label: Label
 
@@ -236,7 +250,7 @@ class ZSetGroup(NamedTuple):
     def process(self, table: "LabelTable") -> BranchingProcess:
         """Its commuting tree (engine.centralizer_tower), keyed by table.  The
         root's classes are checked before its key, and so its order, exists."""
-        for a, j in self.label[1]:
+        for a, j in () if self.label[0] == "D" else self.label[1]:
             _wreath_classes(a, j)
         return centralizer_tower(self.label, table, _branches)
 
@@ -251,6 +265,14 @@ def cyclic(k: int) -> ZSetGroup:
 
 def cyclic_wreath(k: int, m: int) -> ZSetGroup:
     return ZSetGroup(_label([(_normal([k]), m)]))
+
+
+_SMALL_DIHEDRAL = {1: [((2,), 1)], 2: [((2, 2), 1)], 3: [((), 3)], 4: [((2,), 2)]}
+
+
+def dihedral(n: int) -> ZSetGroup:
+    """D_n, of order 2n; D_1 to D_4 are C_2, C_2 x C_2, S_3 and C_2 wr S_2."""
+    return ZSetGroup(_label(_SMALL_DIHEDRAL[n]) if n in _SMALL_DIHEDRAL else ("D", n))
 
 
 class LabelTable(IsoRegistry):

@@ -76,6 +76,18 @@ def test_group_dot_output():
     assert "digraph branching" in text
 
 
+def test_group_records_with_matrix_and_dot_are_all_json():
+    status, text = run_cli(["group", "--name", "S3", "--show-matrix", "--dot",
+                            "--format", "records"])
+    assert status == EXIT_OK
+    records = [json.loads(line) for line in text.splitlines()]
+    assert [r["record"] for r in records] == ["ratfun", "branching-matrix", "dot"]
+    assert records[2]["name"] == "S3"
+    assert records[2]["dot"].startswith("digraph branching {")
+    # Text mode prints the same DOT text as raw lines.
+    assert f"\n{records[2]['dot']}\n" in run_cli(["group", "--name", "S3", "--dot"])[1]
+
+
 def test_group_matrix_and_dot_build_the_branching_once(monkeypatch):
     calls = []
 
@@ -175,8 +187,10 @@ def _refuse_perms(monkeypatch):
     monkeypatch.setattr(perms.Perm, "_trusted", classmethod(refused))
 
 
-@pytest.mark.parametrize("name", ["S12", "C2wrS8", "C600", "S12xC2"])
+@pytest.mark.parametrize("name", ["S12", "C2wrS8", "C600", "S12xC2", "D1", "D4", "D5", "D256",
+                                  "D100000", "D6xD6", "D8xC2", "D4xC2wrS2", "C3wrS2xD7"])
 def test_z_set_names_list_no_permutation(name, monkeypatch):
+    # Every accepted name form, D<n> and products included, is read from labels.
     _refuse_perms(monkeypatch)
     for kind in ("commuting", "burnside"):
         assert run_cli(["group", "--name", name, "--kind", kind])[0] == EXIT_OK
@@ -200,16 +214,29 @@ def test_over_large_names_say_how_far_they_got(name, limit, capsys):
 
 @pytest.mark.parametrize("name", ["D300", "D10000000", "D10000000xC2", "C2xD10000000"])
 def test_over_large_dihedral_names_build_no_permutation(name, monkeypatch, capsys):
-    # D<n> is refused from 2n alone; a permutation of degree 10^7 would not fit.
+    # D<n> past the listed groups' order limit runs from its label; a
+    # permutation of degree 10^7 would not fit.
     _refuse_perms(monkeypatch)
     for kind in ("commuting", "burnside"):
-        assert run_cli(["group", "--name", name, "--kind", kind]) == (EXIT_LIMIT, "")
-        err = capsys.readouterr().err
-        assert "(OrderLimitError): group order exceeds the limit 512" in err
+        status, text = run_cli(["group", "--name", name, "--kind", kind])
+        assert status == EXIT_OK and text.startswith("h[" if kind == "commuting" else "f[")
+        assert capsys.readouterr().err == ""
 
 
-HUGE_NAMES = [["S10000000"], ["S10000000", "--kind", "burnside"], ["C2wrS10000000"],
-              ["D10000000"], ["D10000000xC2"]]
+def test_dihedral_name_too_long_to_print_exits_3(capsys):
+    # h_8 of D_n grows like n^8, past Python's 4300-digit limit for a
+    # 4000-digit n; a name of more than 4300 digits is not an integer at all.
+    n = 10**3999 + 1
+    for kind in ("commuting", "burnside"):
+        argv = ["group", "--name", f"D{n}", "--kind", kind, "--terms", "8"]
+        assert run_cli(argv) == (EXIT_LIMIT, "")
+        assert "(SizeLimitError): a value to print has more than 4300" in capsys.readouterr().err
+    assert run_cli(["group", "--name", f"D{n}"])[0] == EXIT_OK  # the gf itself prints
+    assert run_cli(["group", "--name", "D" + "1" * 4301]) == (EXIT_USAGE, "")
+    assert "cannot parse group name" in capsys.readouterr().err
+
+
+HUGE_NAMES = [["S10000000"], ["S10000000", "--kind", "burnside"], ["C2wrS10000000"]]
 
 
 @pytest.mark.parametrize("argv", HUGE_NAMES, ids=[" ".join(argv) for argv in HUGE_NAMES])
@@ -218,6 +245,13 @@ def test_huge_names_exit_3_at_once(argv):
     done = _run_module("group", "--name", *argv, timeout=20)
     assert (done.returncode, done.stdout) == (EXIT_LIMIT, "")
     assert done.stderr.startswith("limit exceeded (") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("name", ["D10000000", "D10000000xC2"])
+def test_huge_dihedral_names_run_at_once(name):
+    done = _run_module("group", "--name", name, "--terms", "2", timeout=20)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert done.stdout.startswith(f"h[{name}] = ")
 
 
 def test_oracle_suite_checks_the_trees_the_group_command_builds(monkeypatch):
@@ -230,7 +264,7 @@ def test_oracle_suite_checks_the_trees_the_group_command_builds(monkeypatch):
 
     monkeypatch.setattr(cli, "factor_trees", recording)
     assert run_cli(["verify", "--suite", "oracles"])[0] == EXIT_OK
-    assert built == [["ZSetGroup"], ["ZSetGroup"], ["ZSetGroup"], ["PermGroup"]]
+    assert built == [["ZSetGroup"], ["ZSetGroup"], ["ZSetGroup"], ["ZSetGroup"]]
 
 
 def _recorded_symmetric_groups(monkeypatch) -> list:
@@ -552,8 +586,8 @@ EXIT_CODE_CASES = [
     (["group", "--name", "S6xS6"], EXIT_OK),
     (["group", "--name", "S6xS6xS6"], EXIT_OK),
     (["group", "--name", "S6xS6xS6xS6xS6"], EXIT_LIMIT),
-    (["group", "--name", "D300"], EXIT_LIMIT),
-    (["group", "--name", "D300xC2"], EXIT_LIMIT),
+    (["group", "--name", "D300"], EXIT_OK),
+    (["group", "--name", "D300xC2"], EXIT_OK),
     (["verify", "--suite", "oracles", "--budget", "0"], EXIT_LIMIT),
     (["expand", "--num", "1", "--den", "1,-10", "--terms", "5000"], EXIT_LIMIT),
     (["configs", "--kind", "point", "--m", "150", "--terms", "3000"], EXIT_LIMIT),

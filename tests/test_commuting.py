@@ -244,20 +244,22 @@ def test_product_rule_for_a_group_of_order_128():
 
 def product_tree(name):
     """The process of an x-joined name from its factors' trees, as the group
-    command builds them (Z-set labels for S, C and CwrS, one registry)."""
+    command builds them (labels, one LabelTable)."""
     return product_process(*factor_trees(parse_group_factors(name)))
 
 
 def listed_product_tree(name):
-    """The process of an x-joined name from every factor's listed tree, as
-    factor_trees builds a listed factor's: commuting_process, all factors
-    keyed by one KeyRegistry."""
-    return product_process(*factor_trees([parse_group_name(part) for part in name.split("x")]))
+    """The process of an x-joined name from every factor's listed tree:
+    commuting_process, all factors keyed by one KeyRegistry."""
+    registry = KeyRegistry()
+    return product_process(*(build_branching(commuting_process(parse_group_name(part), registry))
+                             for part in name.split("x")))
 
 
 @pytest.mark.parametrize(
     "name",
-    ["D8xC2", "S5xC2", "C2wrS2xS4", "C2xC2xS3", "S3xS3xC2", "D4xD4", "D3xD6xD2", "C6xS3"],
+    ["D8xC2", "S5xC2", "C2wrS2xS4", "C2xC2xS3", "S3xS3xC2", "D4xD4", "D3xD6xD2", "C6xS3",
+     "D5xS3", "D6xC2wrS2"],
 )
 def test_product_tree_matches_the_element_list_tree(name):
     # Both the command's factor trees and listed factor trees under one
@@ -274,7 +276,7 @@ def test_s6xs6_series_is_the_square_of_s6():
     assert product == [h * h for h in factor]
 
 
-@pytest.mark.parametrize("name", ["C2xS3", "D8xC2", "S5xC2", "C2wrS2xS4"])
+@pytest.mark.parametrize("name", ["C2xS3", "D8xC2", "S5xC2", "C2wrS2xS4", "D5xS3", "D6xC2wrS2"])
 def test_product_burnside_from_class_tuples(name):
     assert burnside_gf(*parse_group_factors(name)) == burnside_gf(parse_group_name(name))
 

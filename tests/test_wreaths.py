@@ -3,7 +3,8 @@
 The label tree of S_m is held to the Z^n-set closed form (branchgf.zsets)
 and to the listed tree (commuting_process on an element-listed group); the
 trees of C_k wr S_j to the listed tree of a group built here from its
-generators; and the groups B = (A x Z)/<(-x, l)> to a brute-force count of
+generators; the trees of D_n to the listed tree and to two closed forms;
+and the groups B = (A x Z)/<(-x, l)> to a brute-force count of
 element orders, which fix a finite abelian group.
 """
 
@@ -22,10 +23,16 @@ from branchgf.cli import (
     parse_group_name,
     parse_ratfun_record,
 )
-from branchgf.commuting import burnside_gf_elementwise, commuting_gf, commuting_process
+from branchgf.commuting import (
+    burnside_gf,
+    burnside_gf_elementwise,
+    commuting_gf,
+    commuting_process,
+)
 from branchgf.engine import build_branching, gf_total, product_process, verify_tree
 from branchgf.errors import StateExplosionError
-from branchgf.perms import Perm, PermGroup, symmetric_group
+from branchgf.perms import KeyRegistry, Perm, PermGroup, dihedral_group, symmetric_group
+from branchgf.polyring import Poly, RatFun, one_minus, poly_product
 from branchgf.zsets import symmetric_commuting_counts
 
 
@@ -133,26 +140,51 @@ def test_extensions_match_element_orders(a, l):
     assert got == _brute_extensions(a, l)
 
 
+def listed_d4_times_labelled_c2_wr_s2():
+    """The product of listed D4's tree, keyed by a KeyRegistry, and of C2 wr S2's
+    label tree, keyed by a LabelTable: both roots are the first of order 8."""
+    listed = build_branching(commuting_process(dihedral_group(4), KeyRegistry()))
+    labelled = build_branching(wreaths.cyclic_wreath(2, 2).process(wreaths.LabelTable()))
+    return product_process(listed, labelled)
+
+
 def test_z_keys_never_equal_group_keys():
-    status, text = run_cli(["group", "--name", "D4xC2", "--show-matrix", "--format", "records"])
-    assert status == 0
-    labels = text.splitlines()[1]
-    assert '"g8.0xz2.0"' in labels
+    # Equal size and tag, told apart by the prefix alone.
+    assert build_branching(listed_d4_times_labelled_c2_wr_s2()).labels[0] == "g8.0xz8.0"
 
 
 def test_listed_d4_and_labelled_c2_wr_s2_give_one_product_tree():
-    # D4 is C2 wr S2, but a D4 factor is keyed by the KeyRegistry and a
-    # C2wrS2 factor by the LabelTable; the products must still agree, and
-    # each with the tree of its element-listed group.
-    gfs = {}
-    for name in ("D4xC2wrS2", "C2wrS2xC2wrS2"):
-        product = product_process(*factor_trees(parse_group_factors(name)))
-        listed = commuting_process(parse_group_name(name))
-        assert verify_tree(product, 8) and verify_tree(listed, 8)
-        gfs[name] = gf_total(build_branching(product))
-        assert gfs[name] == gf_total(build_branching(listed))
-    assert gfs["D4xC2wrS2"] == gfs["C2wrS2xC2wrS2"]
-    assert gfs["D4xC2wrS2"].series(8) == gfs["C2wrS2xC2wrS2"].series(8)
+    # D4 is C2 wr S2: the group command reads D4 as C2wrS2's label, and a
+    # listed D4 factor keyed by a KeyRegistry, beside a labelled one, gives
+    # the tree of the element-listed product too.
+    assert parse_group_factors("D4") == parse_group_factors("C2wrS2")
+    expected = commuting_gf(parse_group_name("D4xC2wrS2"))
+    for product in (listed_d4_times_labelled_c2_wr_s2(),
+                    product_process(*factor_trees(parse_group_factors("D4xC2wrS2")))):
+        assert verify_tree(product, 8)
+        assert gf_total(build_branching(product)) == expected
+
+
+def dihedral_closed_form(n):
+    """(1 - (n+3)/2 t + t^2)/((1 - t)(1 - 2t)(1 - nt)) for n odd, and
+    (1 - (n/2+3) t + 4t^2)/((1 - 2t)(1 - 4t)(1 - nt)) for n even, n >= 6."""
+    if n % 2:
+        return RatFun(Poly([1, -(n + 3) // 2, 1]), poly_product(map(one_minus, (1, 2, n))))
+    return RatFun(Poly([1, -(n // 2 + 3), 4]), poly_product(map(one_minus, (2, 4, n))))
+
+
+@pytest.mark.parametrize("n", [*range(5, 42), 10**6, 10**6 + 1])
+def test_dihedral_tree_is_the_closed_form(n):
+    assert label_gf(wreaths.dihedral(n)) == dihedral_closed_form(n)
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 128])
+def test_dihedral_tree_matches_the_listed_tree(n):
+    group, listed = wreaths.dihedral(n), dihedral_group(n)
+    assert group.order == listed.order == 2 * n
+    assert label_gf(group) == commuting_gf(listed)
+    assert burnside_gf(group) == burnside_gf(listed)
+    assert verify_tree(group.process(wreaths.LabelTable()), 8)
 
 
 def test_label_limit_says_how_far_it_got(monkeypatch, capsys):
